@@ -116,6 +116,18 @@ impl Bitstring {
         Ok(())
     }
 
+    /// The first set bit at or after `from`, scanning whole words: the
+    /// next occupied slot a replayed round must reproduce.
+    pub(crate) fn next_one(&self, from: usize) -> Option<usize> {
+        let mut wi = from / WORD_BITS;
+        let mut bits = self.words.get(wi)? & (u64::MAX << (from % WORD_BITS));
+        while bits == 0 {
+            wi += 1;
+            bits = *self.words.get(wi)?;
+        }
+        Some(wi * WORD_BITS + bits.trailing_zeros() as usize)
+    }
+
     /// Number of set bits (occupied slots).
     #[must_use]
     pub fn count_ones(&self) -> usize {
@@ -213,38 +225,6 @@ impl Bitstring {
             }
         }
         Ok(out)
-    }
-
-    /// Iterates (ascending) over positions set in `self` but clear in
-    /// `other` — "expected occupied, came back empty", the desync
-    /// diagnosis's candidate slots — one word at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn iter_dropped_ones<'a>(
-        &'a self,
-        other: &'a Bitstring,
-    ) -> Result<impl Iterator<Item = usize> + 'a, CoreError> {
-        self.check_len(other)?;
-        Ok(self
-            .words
-            .iter()
-            .zip(&other.words)
-            .enumerate()
-            .flat_map(move |(wi, (&a, &b))| {
-                let base = wi * WORD_BITS;
-                let mut bits = a & !b;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        None
-                    } else {
-                        let tz = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        Some(base + tz)
-                    }
-                })
-            }))
     }
 
     fn check_len(&self, other: &Bitstring) -> Result<(), CoreError> {
@@ -549,27 +529,18 @@ mod tests {
     }
 
     #[test]
-    fn iter_dropped_ones_lists_expected_but_empty_slots() {
-        let expected = bs("110101");
-        let observed = bs("100110");
-        // Set in expected, clear in observed: positions 1 and 5.
-        assert_eq!(
-            expected
-                .iter_dropped_ones(&observed)
-                .unwrap()
-                .collect::<Vec<_>>(),
-            vec![1, 5]
-        );
-        // Multiword, ascending across the boundary.
-        let mut e = Bitstring::zeros(140);
-        let o = Bitstring::zeros(140);
+    fn next_one_finds_the_first_set_bit_at_or_after() {
+        let mut b = Bitstring::zeros(140);
         for i in [5usize, 64, 139] {
-            e.set(i, true).unwrap();
+            b.set(i, true).unwrap();
         }
-        assert_eq!(
-            e.iter_dropped_ones(&o).unwrap().collect::<Vec<_>>(),
-            vec![5, 64, 139]
-        );
-        assert!(e.iter_dropped_ones(&Bitstring::zeros(3)).is_err());
+        assert_eq!(b.next_one(0), Some(5));
+        assert_eq!(b.next_one(5), Some(5));
+        // Across the word boundary, and up to the last bit.
+        assert_eq!(b.next_one(6), Some(64));
+        assert_eq!(b.next_one(65), Some(139));
+        assert_eq!(b.next_one(140), None);
+        assert_eq!(Bitstring::zeros(140).next_one(0), None);
+        assert_eq!(Bitstring::zeros(0).next_one(0), None);
     }
 }

@@ -56,6 +56,17 @@
 //! skeleton both engines share — nonce order, sub-frame shrinking,
 //! uniform-key collapse — lives in [`SubframeCursor`].
 //!
+//! ## Diagnosis replay
+//!
+//! The server's desync diagnosis tests thousands of counter hypotheses
+//! that each differ from the mirror round in a few counters. Two
+//! crate-private pieces let it pay only for the difference: a recorded
+//! `Trajectory` of the mirror round, along which a single changed tag
+//! can be walked alone, and an early-exit replay
+//! (`RoundScratch::run_matching`) that resumes at any recorded
+//! announcement and stops at the first reply off the field's
+//! bitstring.
+//!
 //! ## Semantics
 //!
 //! Byte-identical to [`crate::utrp::simulate_round_reference`], the
@@ -459,11 +470,18 @@ impl SubframeCursor {
     /// sub-frame is the whole frame.
     #[must_use]
     pub fn new(f: FrameSize) -> Self {
+        SubframeCursor::resume(f, 1, SubFrame::whole(f))
+    }
+
+    /// A cursor just before announcement `next` (1-based) of a round
+    /// over frame size `f`, whose sub-frame is `sub`: where an
+    /// early-exit replay picks up a recorded round.
+    fn resume(f: FrameSize, next: u64, sub: SubFrame) -> Self {
         SubframeCursor {
             total: f.get(),
-            subframe_start: 0,
-            announcements: 0,
-            frame: FastMod::new(f),
+            subframe_start: sub.start,
+            announcements: next.saturating_sub(1),
+            frame: sub.frame,
             done: false,
         }
     }
@@ -526,6 +544,114 @@ impl SubframeCursor {
     /// replied: the rest of the frame is silence).
     pub fn finish(&mut self) {
         self.done = true;
+    }
+}
+
+/// One announcement's sub-frame: its first global slot and its reducer
+/// (divisor = slots left in the frame from there).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SubFrame {
+    start: u64,
+    frame: FastMod,
+}
+
+impl SubFrame {
+    /// The first announcement's sub-frame: the whole frame.
+    pub(crate) fn whole(f: FrameSize) -> Self {
+        SubFrame {
+            start: 0,
+            frame: FastMod::new(f),
+        }
+    }
+}
+
+/// One recorded announcement.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    sub: SubFrame,
+    nonce: u64,
+    /// The global reply slot; `None` for the silent last announcement.
+    reply: Option<u64>,
+    /// Whether the field's bitstring has the reply slot empty.
+    dropped: bool,
+}
+
+/// A recorded UTRP round, kept for desync diagnosis
+/// ([`RoundScratch::run_recorded`]): per announcement its sub-frame,
+/// nonce and reply slot; per tag (by load index) the announcement it
+/// replied in; and the first announcement whose reply departs from the
+/// field's bitstring.
+///
+/// A hypothesis that changes one tag's counter replays this round
+/// exactly until that tag picks a slot the record did not: every other
+/// tag sees the same nonces, sub-frames and counters. So
+/// [`Trajectory::first_change`] probes only that one tag per
+/// announcement, and the whole active set is scanned only from the
+/// announcement where the hypothesis parts from the record.
+#[derive(Debug)]
+pub(crate) struct Trajectory {
+    steps: Vec<Step>,
+    /// Per load index: the 1-based announcement of the tag's reply, or
+    /// 0 when the frame ran out before it replied.
+    retired_at: Vec<u64>,
+    /// The 1-based announcement whose reply first departs from the
+    /// field's bitstring; `steps.len() + 1` when the round reproduces
+    /// it.
+    diverged: u64,
+}
+
+impl Trajectory {
+    /// Whether tag `i` replied into a slot the field's bitstring has
+    /// empty: the only tags a deep lag can explain.
+    pub(crate) fn dropped(&self, i: usize) -> bool {
+        let a = self.retired_at[i] as usize;
+        a > 0 && self.steps[a - 1].dropped
+    }
+
+    /// Whether tag `i` is still active at announcement `a`.
+    pub(crate) fn active_at(&self, i: usize, a: u64) -> bool {
+        let retired = self.retired_at[i];
+        retired == 0 || retired >= a
+    }
+
+    /// The sub-frame of announcement `a` (1-based).
+    pub(crate) fn sub_frame(&self, a: u64) -> SubFrame {
+        self.steps[a as usize - 1].sub
+    }
+
+    /// The first announcement at which tag `i`, with pre-round counter
+    /// `base` in place of its recorded one, would change the recorded
+    /// round: it replies before the recorded reply, joins the reply
+    /// set, or leaves the reply set it was recorded in. The walk probes
+    /// the tag as the scan kernel does, `mix64(folded ⊕ r ⊕ mix64(base
+    /// + a)) mod f'`.
+    ///
+    /// `None` when the tag changes nothing up to its recorded reply (the
+    /// hypothesis is the recorded round) or up to the round's first
+    /// departure from the field (the hypothesis departs there too).
+    /// Either way it cannot reproduce a bitstring the record departs
+    /// from.
+    pub(crate) fn first_change(&self, i: usize, folded: u64, base: u64) -> Option<u64> {
+        let retired = self.retired_at[i];
+        let last = if retired == 0 {
+            self.diverged
+        } else {
+            retired.min(self.diverged)
+        };
+        for (a, step) in (1..=last).zip(&self.steps) {
+            // An active tag always replies somewhere, so the walk never
+            // reaches a silent announcement.
+            let reply = step.reply?;
+            let ct = mix64(base.wrapping_add(a));
+            let slot = step.sub.start + step.sub.frame.rem(mix64(folded ^ step.nonce ^ ct));
+            if a == retired {
+                return (slot != reply).then_some(a);
+            }
+            if slot <= reply {
+                return Some(a);
+            }
+        }
+        None
     }
 }
 
@@ -773,6 +899,127 @@ impl RoundScratch {
         self.run_inner(f, nonces, scanner, on_reply)
     }
 
+    /// [`RoundScratch::run`] that records the round's [`Trajectory`]
+    /// against the field's `observed` bitstring, naming tags by load
+    /// index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::LengthMismatch`] if `observed` is not `f`
+    /// bits long, and otherwise as [`RoundScratch::run`].
+    pub(crate) fn run_recorded(
+        &mut self,
+        f: FrameSize,
+        nonces: &NonceSequence,
+        observed: &Bitstring,
+    ) -> Result<Trajectory, CoreError> {
+        if observed.len() != f.as_usize() {
+            return Err(CoreError::LengthMismatch {
+                left: f.as_usize(),
+                right: observed.len(),
+            });
+        }
+        let mut replies: Vec<u64> = Vec::new();
+        let mut retired_at = vec![0u64; self.loaded()];
+        let announcements =
+            self.run_attributed_with(f, nonces, batched_min_scan, |slot, members| {
+                replies.push(slot);
+                for &i in members {
+                    retired_at[i as usize] = replies.len() as u64;
+                }
+            })?;
+        let mut steps = Vec::with_capacity(announcements as usize);
+        let mut sub = SubFrame::whole(f);
+        for (k, nonce) in nonces.iter().take(announcements as usize).enumerate() {
+            let reply = replies.get(k).copied();
+            let dropped =
+                reply.is_some_and(|slot| matches!(observed.get(slot as usize), Ok(false)));
+            steps.push(Step {
+                sub,
+                nonce: nonce.as_u64(),
+                reply,
+                dropped,
+            });
+            if let Some(slot) = reply.filter(|&slot| slot + 1 < f.get()) {
+                sub = SubFrame {
+                    start: slot + 1,
+                    frame: FastMod::from_divisor(f.get() - (slot + 1)),
+                };
+            }
+        }
+        let diverged = steps
+            .iter()
+            .position(|s| observed.next_one(s.sub.start as usize).map(|i| i as u64) != s.reply)
+            .unwrap_or(steps.len()) as u64
+            + 1;
+        Ok(Trajectory {
+            steps,
+            retired_at,
+            diverged,
+        })
+    }
+
+    /// The early-exit replay behind desync diagnosis: runs the loaded
+    /// tags from announcement `from` (1-based) over sub-frame `sub`,
+    /// stopping at the first reply slot that is not the next bit set in
+    /// `observed`. Returns `Some(announcements)`, the round's total,
+    /// only when the round reproduces `observed` exactly from
+    /// `sub.start` on: every reply lands on the next set bit, and no set
+    /// bit is left when a silent announcement or the frame's last slot
+    /// ends the round. Returns `None` at the first departure, or when
+    /// `observed` is not `f` bits long. Bits before `sub.start` are not
+    /// examined: a caller resuming mid-round vouches for them.
+    ///
+    /// The run consumes the active arrays and counts no probes; the
+    /// bitstring and announcement count of the last full run are left
+    /// as they were.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NonceSequenceExhausted`] if `nonces` runs
+    /// out before the round ends.
+    pub(crate) fn run_matching(
+        &mut self,
+        f: FrameSize,
+        nonces: &NonceSequence,
+        from: u64,
+        sub: SubFrame,
+        observed: &Bitstring,
+    ) -> Result<Option<u64>, CoreError> {
+        if observed.len() != f.as_usize() {
+            return Ok(None);
+        }
+        let mut cursor = nonces.cursor_at(from.saturating_sub(1) as usize);
+        let mut walk = SubframeCursor::resume(f, from, sub);
+        loop {
+            let next = observed.next_one(walk.subframe_start as usize);
+            let params = walk.announce(&mut cursor, self.uniform_base)?;
+            let job = ScanJob::new(&self.folded, &self.bases, &params);
+            let Some(rel) = batched_min_scan(&job, &mut self.members) else {
+                return Ok(next.is_none().then(|| walk.announcements()));
+            };
+            if next != Some((walk.subframe_start + rel) as usize) {
+                return Ok(None);
+            }
+            walk.record_reply(rel);
+            if walk.is_done() {
+                return Ok(Some(walk.announcements()));
+            }
+            self.retire_members();
+        }
+    }
+
+    /// Swap-removes the tags in the member buffer from the active
+    /// arrays, in descending index order so earlier indices stay valid.
+    fn retire_members(&mut self) {
+        for &mi in self.members.iter().rev() {
+            let i = mi as usize;
+            self.folded.swap_remove(i);
+            self.bases.swap_remove(i);
+            self.orig.swap_remove(i);
+        }
+    }
+
     fn run_inner<S, F>(
         &mut self,
         f: FrameSize,
@@ -821,8 +1068,6 @@ impl RoundScratch {
             self.members_orig.sort_unstable();
             on_reply(global, &self.members_orig);
 
-            // Retire the repliers: swap-remove in descending index
-            // order keeps earlier indices valid.
             debug_assert!(
                 self.members.windows(2).all(|w| w[0] < w[1]),
                 "scanner contract: member indices strictly ascending"
@@ -833,12 +1078,7 @@ impl RoundScratch {
                     .is_none_or(|&mi| (mi as usize) < self.folded.len()),
                 "scanner contract: member indices within the active arrays"
             );
-            for &mi in self.members.iter().rev() {
-                let i = mi as usize;
-                self.folded.swap_remove(i);
-                self.bases.swap_remove(i);
-                self.orig.swap_remove(i);
-            }
+            self.retire_members();
             debug_assert!(
                 self.folded.len() == self.bases.len() && self.folded.len() == self.orig.len(),
                 "active arrays must retire in lockstep"
@@ -1207,5 +1447,161 @@ mod tests {
         assert_eq!(scratch.loaded(), 5);
         assert_eq!(scratch.run(ch.frame_size(), ch.nonces()).unwrap(), 1);
         assert_eq!(scratch.bitstring().count_ones(), 0);
+    }
+
+    /// Non-mute participants with mixed counters (diagnosis loads the
+    /// registry, where no tag is mute).
+    fn audible_parts(n: u64) -> Vec<UtrpParticipant> {
+        (1..=n)
+            .map(|i| UtrpParticipant::new(TagId::from(i), Counter::new(i % 5)))
+            .collect()
+    }
+
+    fn flipped(bs: &Bitstring, bit: usize) -> Bitstring {
+        let mut out = bs.clone();
+        out.set(bit, !bs.get(bit).unwrap()).unwrap();
+        out
+    }
+
+    #[test]
+    fn early_exit_run_accepts_exactly_the_full_runs_bitstring() {
+        // From announcement 1 the early-exit run must answer Some(a)
+        // exactly when the full run yields `observed` in `a`
+        // announcements: the run's own bitstring, every one-bit flip of
+        // it, and other rounds' bitstrings.
+        for (n, f_raw, seed) in [
+            (1u64, 8u64, 41u64),
+            (20, 40, 42),
+            (60, 150, 43),
+            (150, 90, 44),
+        ] {
+            let ch = challenge(f_raw, seed);
+            let parts = audible_parts(n);
+            let mut full = RoundScratch::new();
+            full.load_participants(&parts);
+            let announcements = full.run(ch.frame_size(), ch.nonces()).unwrap();
+            let bs = full.take_bitstring();
+            let mut observed: Vec<Bitstring> = (0..bs.len()).map(|b| flipped(&bs, b)).collect();
+            observed.push(bs.clone());
+            for other in [challenge(f_raw, seed + 100), challenge(f_raw, seed + 200)] {
+                full.load_participants(&parts);
+                full.run(other.frame_size(), other.nonces()).unwrap();
+                observed.push(full.take_bitstring());
+            }
+            let mut scratch = RoundScratch::new();
+            for obs in &observed {
+                scratch.load_participants(&parts);
+                let got = scratch
+                    .run_matching(
+                        ch.frame_size(),
+                        ch.nonces(),
+                        1,
+                        SubFrame::whole(ch.frame_size()),
+                        obs,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    got,
+                    (*obs == bs).then_some(announcements),
+                    "n={n} f={f_raw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_early_exit_run_agrees_with_a_full_run() {
+        // Resumed at every recorded announcement with the tags still
+        // active there, the run must finish the recorded round: accept
+        // its bitstring with the full announcement count, and reject a
+        // flip at or after the resumed sub-frame's start.
+        for (n, f_raw, seed) in [(30u64, 64u64, 51u64), (80, 60, 52), (120, 400, 53)] {
+            let ch = challenge(f_raw, seed);
+            let f = ch.frame_size();
+            let parts = audible_parts(n);
+            let mut full = RoundScratch::new();
+            full.load_participants(&parts);
+            let announcements = full.run(f, ch.nonces()).unwrap();
+            let bs = full.take_bitstring();
+            full.load_participants(&parts);
+            let record = full.run_recorded(f, ch.nonces(), &bs).unwrap();
+            let mut scratch = RoundScratch::new();
+            for a in 1..=announcements {
+                let sub = record.sub_frame(a);
+                let active = || {
+                    parts
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| record.active_at(i, a))
+                        .map(|(_, p)| (p.id, p.counter))
+                };
+                scratch.load_pairs(active());
+                let got = scratch.run_matching(f, ch.nonces(), a, sub, &bs).unwrap();
+                assert_eq!(got, Some(announcements), "n={n} f={f_raw} a={a}");
+                for bit in [sub.start as usize, f.as_usize() - 1] {
+                    scratch.load_pairs(active());
+                    let got = scratch
+                        .run_matching(f, ch.nonces(), a, sub, &flipped(&bs, bit))
+                        .unwrap();
+                    assert_eq!(got, None, "n={n} f={f_raw} a={a} bit={bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_run_handles_every_way_a_round_ends() {
+        let run = |parts: &[UtrpParticipant], ch: &UtrpChallenge, observed: &Bitstring| {
+            let mut scratch = RoundScratch::new();
+            scratch.load_participants(parts);
+            let whole = SubFrame::whole(ch.frame_size());
+            scratch
+                .run_matching(ch.frame_size(), ch.nonces(), 1, whole, observed)
+                .unwrap()
+        };
+        let bits =
+            |s: &str| Bitstring::from_bools(&s.chars().map(|c| c == '1').collect::<Vec<_>>());
+
+        // A 1-slot frame: one announcement, the slot occupied iff any
+        // tag is active.
+        let one = challenge(1, 61);
+        assert_eq!(run(&audible_parts(3), &one, &bits("1")), Some(1));
+        assert_eq!(run(&audible_parts(3), &one, &bits("0")), None);
+        assert_eq!(run(&[], &one, &bits("0")), Some(1));
+        assert_eq!(run(&[], &one, &bits("1")), None);
+
+        // A silent end: few tags in a wide frame retire before it runs
+        // out, and a set bit left after the last reply is a departure.
+        let wide = challenge(64, 62);
+        let parts = audible_parts(5);
+        let mut full = RoundScratch::new();
+        full.load_participants(&parts);
+        let announcements = full.run(wide.frame_size(), wide.nonces()).unwrap();
+        let bs = full.take_bitstring();
+        let last = bs.iter_ones().last().unwrap();
+        assert!(last + 1 < bs.len(), "the round must end silent");
+        assert_eq!(announcements, bs.count_ones() as u64 + 1);
+        assert_eq!(run(&parts, &wide, &bs), Some(announcements));
+        assert_eq!(run(&parts, &wide, &flipped(&bs, bs.len() - 1)), None);
+
+        // A frame-exhausted end: dense tags occupy the last slot, which
+        // ends the round with tags still active.
+        let narrow = challenge(8, 63);
+        let parts = audible_parts(200);
+        full.load_participants(&parts);
+        let announcements = full.run(narrow.frame_size(), narrow.nonces()).unwrap();
+        let bs = full.take_bitstring();
+        assert!(bs.get(bs.len() - 1).unwrap(), "the last slot must reply");
+        assert_eq!(announcements, bs.count_ones() as u64);
+        assert_eq!(run(&parts, &narrow, &bs), Some(announcements));
+
+        // A wrong-length observation never matches.
+        let mut longer = bs.to_bools();
+        longer.push(false);
+        assert_eq!(run(&parts, &narrow, &Bitstring::from_bools(&longer)), None);
+        assert_eq!(
+            run(&parts, &narrow, &Bitstring::from_bools(&longer[..6])),
+            None
+        );
     }
 }

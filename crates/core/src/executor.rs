@@ -74,11 +74,6 @@ impl RoundExecutor {
         self.plan.as_ref()
     }
 
-    /// Replaces the scripted plan (e.g. between soak ticks).
-    pub fn set_plan(&mut self, plan: Option<FaultPlan>) {
-        self.plan = plan;
-    }
-
     /// Whether rounds through this executor can differ from the
     /// fault-free paths at all.
     #[must_use]
@@ -351,22 +346,14 @@ mod tests {
             let mut fresh = StdRng::seed_from_u64(123);
             assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>(), "RNG was consumed");
         }
-        // An executor holding Some(empty plan) still counts as faultless.
+        // An executor holding Some(empty plan) still counts as faultless;
+        // one holding a scripted fault does not.
         let with_empty = RoundExecutor::new(Channel::ideal(), Some(FaultPlan::new()));
         assert!(with_empty.is_faultless());
-    }
-
-    #[test]
-    fn set_plan_swaps_faults_between_rounds() {
-        let mut ex = RoundExecutor::ideal();
-        assert!(ex.is_faultless());
-        ex.set_plan(Some(FaultPlan::new().lose_replies_at(0)));
-        assert!(!ex.is_faultless());
-        assert!(ex.plan().is_some());
-        // Clearing the plan restores the fault-free fast path.
-        ex.set_plan(None);
-        assert!(ex.is_faultless());
-        assert!(ex.plan().is_none());
+        let with_fault =
+            RoundExecutor::new(Channel::ideal(), Some(FaultPlan::new().lose_replies_at(0)));
+        assert!(!with_fault.is_faultless());
+        assert!(with_fault.plan().is_some());
     }
 
     #[test]

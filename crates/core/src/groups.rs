@@ -204,11 +204,6 @@ impl GroupedMonitor {
         self.owner_of.get(&id).map(String::as_str)
     }
 
-    /// Group names, ascending.
-    pub fn group_names(&self) -> impl Iterator<Item = &str> {
-        self.groups.keys().map(String::as_str)
-    }
-
     /// Issues one TRP challenge per group, each frame sized by that
     /// group's own `(n, m, α)` via Eq. 2.
     ///
@@ -397,15 +392,6 @@ mod tests {
         assert_eq!(m.group("case").unwrap().len(), 20);
         assert_eq!(m.owner_of(TagId::new(301)), Some("case"));
         assert_eq!(m.owner_of(TagId::new(999)), None);
-    }
-
-    #[test]
-    fn group_names_iterate_in_ascending_order() {
-        let m = monitor_with_two_groups();
-        let names: Vec<&str> = m.group_names().collect();
-        // BTreeMap-backed: deterministic ascending order, so exports
-        // that walk groups never depend on registration order.
-        assert_eq!(names, ["case", "pallet"]);
     }
 
     #[test]

@@ -67,9 +67,15 @@ impl NonceSequence {
     /// An in-order consumer over this sequence.
     #[must_use]
     pub fn cursor(&self) -> NonceCursor<'_> {
+        self.cursor_at(0)
+    }
+
+    /// An in-order consumer whose first nonce is the `next`-th (0-based):
+    /// a round replay resumed mid-round.
+    pub(crate) fn cursor_at(&self, next: usize) -> NonceCursor<'_> {
         NonceCursor {
             sequence: self,
-            next: 0,
+            next,
         }
     }
 }

@@ -14,12 +14,12 @@ use rand::Rng;
 use tagwatch_sim::{Counter, FrameSize, TagId, TimingModel};
 
 use crate::bitstring::Bitstring;
-use crate::engine::{RoundEngine, RoundScratch};
+use crate::engine::{RoundEngine, RoundScratch, SubFrame};
 use crate::error::CoreError;
 use crate::frame::{trp_frame_size, utrp_frame_size, UtrpSizing};
 use crate::params::MonitorParams;
 use crate::trp::{self, TrpChallenge};
-use crate::utrp::{attributed_round, expected_round, UtrpChallenge, UtrpResponse};
+use crate::utrp::{UtrpChallenge, UtrpResponse};
 use crate::verdict::{MonitorReport, ProtocolKind, Verdict};
 
 /// Configuration for a [`MonitorServer`] beyond the core policy.
@@ -256,16 +256,6 @@ impl MonitorServer {
         Ok(TrpChallenge::generate(f, rng))
     }
 
-    /// Issues a TRP challenge with an explicit frame size (experiments
-    /// sweeping `f`).
-    pub fn issue_trp_challenge_with_frame<R: Rng + ?Sized>(
-        &self,
-        f: FrameSize,
-        rng: &mut R,
-    ) -> TrpChallenge {
-        TrpChallenge::generate(f, rng)
-    }
-
     /// Verifies a TRP response, consuming the challenge.
     ///
     /// # Errors
@@ -399,10 +389,10 @@ impl MonitorServer {
             // registry as a Vec for the hypothesis search.
             let registry: Vec<(TagId, Counter)> =
                 self.registry.iter().map(|(&id, &ct)| (id, ct)).collect();
-            if let Some(hypothesis) = self.diagnose_desync(
+            if let Some(hypothesis) = Self::diagnose_desync(
+                self.config.desync_window,
                 &registry,
                 &challenge,
-                engine.bitstring(),
                 &response.bitstring,
             )? {
                 let suspects = hypothesis.suspects();
@@ -435,7 +425,9 @@ impl MonitorServer {
     }
 
     /// Searches the bounded hypothesis space for a counter
-    /// desynchronization that explains `observed` *exactly*.
+    /// desynchronization that explains `observed` *exactly*. `observed`
+    /// must differ from the mirror's own prediction (verification only
+    /// diagnoses mismatches).
     ///
     /// Two shapes are considered, cheapest first:
     ///
@@ -446,51 +438,53 @@ impl MonitorServer {
     ///    `d` downlink announcements). Searched lag-major so the
     ///    smallest (most parsimonious) lag wins; shallow lags try every
     ///    tag, deeper lags only the tags the mirror expected in a slot
-    ///    that came back empty (via [`attributed_round`]).
+    ///    that came back empty.
     ///
     /// Requiring an exact bitstring match keeps this fail-safe: a theft
     /// of more than one tag, or any reply the mirror cannot predict,
     /// leaves residual mismatches under every hypothesis and the round
     /// alarms as [`Verdict::NotIntact`].
+    ///
+    /// Each hypothesis costs only what it changes. A uniform lead is
+    /// replayed with an early exit at its first reply off `observed`.
+    /// A single lag walks its one tag along the recorded mirror round
+    /// ([`crate::engine::Trajectory::first_change`]) and replays the
+    /// active set only from the announcement where that tag parts from
+    /// the record. The verdicts are those of re-simulating every
+    /// hypothesis in full.
     fn diagnose_desync(
-        &self,
+        window: u64,
         registry: &[(TagId, Counter)],
         challenge: &UtrpChallenge,
-        expected: &Bitstring,
         observed: &Bitstring,
     ) -> Result<Option<ResyncHypothesis>, CoreError> {
-        let window = self.config.desync_window;
         if window == 0 {
             return Ok(None);
         }
+        let (f, nonces) = (challenge.frame_size(), challenge.nonces());
+        let mut scratch = RoundScratch::new();
 
         // Hypothesis 1: the whole population uniformly leads the mirror.
+        let whole = SubFrame::whole(f);
         for lead in 1..=window {
-            let shifted: Vec<(TagId, Counter)> = registry
-                .iter()
-                .map(|&(id, ct)| (id, Counter::new(ct.get().wrapping_add(lead))))
-                .collect();
-            let round = expected_round(&shifted, challenge)?;
-            if round.bitstring == *observed {
+            scratch.load_pairs(
+                registry
+                    .iter()
+                    .map(|&(id, ct)| (id, Counter::new(ct.get().wrapping_add(lead)))),
+            );
+            if let Some(announcements) = scratch.run_matching(f, nonces, 1, whole, observed)? {
                 return Ok(Some(ResyncHypothesis::UniformLead {
                     lead,
-                    announcements: round.announcements,
+                    announcements,
                 }));
             }
         }
 
-        // Hypothesis 2: exactly one tag lags the mirror. Only tags the
-        // mirror placed in a slot that came back empty can be lagging,
-        // so attribute the expected round's slots and collect those.
-        let (_, attribution) = attributed_round(registry, challenge)?;
-        let mut candidates: Vec<TagId> = Vec::new();
-        for slot in expected.iter_dropped_ones(observed)? {
-            for &tag in &attribution[slot] {
-                if !candidates.contains(&tag) {
-                    candidates.push(tag);
-                }
-            }
-        }
+        // Hypothesis 2: exactly one tag lags the mirror. Record the
+        // mirror round once; only tags it placed in a slot that came
+        // back empty can lag deeply.
+        scratch.load_pairs(registry.iter().copied());
+        let mirror = scratch.run_recorded(f, nonces, observed)?;
         // Lag-major search: the smallest lag that explains the round
         // wins. A wrong tag can collide into an exact match by chance
         // at some deep lag (the hash takes arbitrary counter values),
@@ -502,26 +496,31 @@ impl MonitorServer {
         // attribute. Deeper lags only test the attributed candidates.
         const SHALLOW: u64 = 4;
         for lag in 1..=window {
-            for &(tag, _) in registry {
-                if lag > SHALLOW && !candidates.contains(&tag) {
+            for (i, &(tag, ct)) in registry.iter().enumerate() {
+                if lag > SHALLOW && !mirror.dropped(i) {
                     continue;
                 }
-                let shifted: Vec<(TagId, Counter)> = registry
-                    .iter()
-                    .map(|&(id, ct)| {
-                        if id == tag {
-                            (id, Counter::new(ct.get().wrapping_sub(lag)))
-                        } else {
-                            (id, ct)
-                        }
-                    })
-                    .collect();
-                let round = expected_round(&shifted, challenge)?;
-                if round.bitstring == *observed {
+                let base = ct.get().wrapping_sub(lag);
+                let Some(from) = mirror.first_change(i, tag.fold64(), base) else {
+                    continue;
+                };
+                scratch.load(
+                    registry
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| mirror.active_at(j, from))
+                        .map(|(j, &(id, mirrored))| {
+                            let ct = if j == i { Counter::new(base) } else { mirrored };
+                            (id, ct, false)
+                        }),
+                );
+                if let Some(announcements) =
+                    scratch.run_matching(f, nonces, from, mirror.sub_frame(from), observed)?
+                {
                     return Ok(Some(ResyncHypothesis::SingleLag {
                         tag,
                         lag,
-                        announcements: round.announcements,
+                        announcements,
                     }));
                 }
             }
@@ -673,7 +672,8 @@ impl fmt::Display for MonitorServer {
 mod tests {
     use super::*;
     use crate::trp::observed_bitstring;
-    use crate::utrp::run_honest_reader;
+    use crate::utrp::{attributed_round, expected_round, run_honest_reader};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tagwatch_sim::TagPopulation;
@@ -1102,20 +1102,151 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn explicit_frame_challenge_honors_the_requested_size() {
-        // `issue_trp_challenge_with_frame` exists for experiments that
-        // sweep f away from Eq. 2's optimum: the challenge must carry
-        // exactly the requested frame, not the sized one.
-        let server = MonitorServer::new(ids(300), 5, 0.95).unwrap();
-        let sized = server.issue_trp_challenge(&mut rng(7)).unwrap();
-        let f = FrameSize::new(64).unwrap();
-        let ch = server.issue_trp_challenge_with_frame(f, &mut rng(7));
-        assert_eq!(ch.frame_size(), f);
-        assert_ne!(
-            ch.frame_size(),
-            sized.frame_size(),
-            "sweep frame accidentally equals the Eq. 2 optimum; pick another"
-        );
+    // ------------------------------------------------------------------
+    // Differential check of the diagnosis search
+    // ------------------------------------------------------------------
+
+    /// The brute-force diagnosis: every hypothesis re-simulated as a
+    /// full round, deep-lag candidates attributed by `attributed_round`
+    /// and looked up with `Vec::contains`. `diagnose_desync` must return
+    /// exactly what this returns.
+    fn diagnose_desync_brute_force(
+        window: u64,
+        registry: &[(TagId, Counter)],
+        challenge: &UtrpChallenge,
+        observed: &Bitstring,
+    ) -> Result<Option<ResyncHypothesis>, CoreError> {
+        if window == 0 {
+            return Ok(None);
+        }
+        for lead in 1..=window {
+            let shifted: Vec<(TagId, Counter)> = registry
+                .iter()
+                .map(|&(id, ct)| (id, Counter::new(ct.get().wrapping_add(lead))))
+                .collect();
+            let round = expected_round(&shifted, challenge)?;
+            if round.bitstring == *observed {
+                return Ok(Some(ResyncHypothesis::UniformLead {
+                    lead,
+                    announcements: round.announcements,
+                }));
+            }
+        }
+        let (expected, attribution) = attributed_round(registry, challenge)?;
+        let mut candidates: Vec<TagId> = Vec::new();
+        let dropped = expected
+            .bitstring
+            .iter_ones()
+            .filter(|&slot| matches!(observed.get(slot), Ok(false)));
+        for slot in dropped {
+            for &tag in &attribution[slot] {
+                if !candidates.contains(&tag) {
+                    candidates.push(tag);
+                }
+            }
+        }
+        const SHALLOW: u64 = 4;
+        for lag in 1..=window {
+            for &(tag, _) in registry {
+                if lag > SHALLOW && !candidates.contains(&tag) {
+                    continue;
+                }
+                let shifted: Vec<(TagId, Counter)> = registry
+                    .iter()
+                    .map(|&(id, ct)| {
+                        if id == tag {
+                            (id, Counter::new(ct.get().wrapping_sub(lag)))
+                        } else {
+                            (id, ct)
+                        }
+                    })
+                    .collect();
+                let round = expected_round(&shifted, challenge)?;
+                if round.bitstring == *observed {
+                    return Ok(Some(ResyncHypothesis::SingleLag {
+                        tag,
+                        lag,
+                        announcements: round.announcements,
+                    }));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The field bitstrings a diagnosis meets: the mirror's round under
+    /// a uniform lead or one lagging tag (inside and beyond `window`),
+    /// one leading tag, two lagging tags, 1–3 stolen tags, and the
+    /// mirror's own bitstring with one bit flipped.
+    fn perturbed_fields(
+        registry: &[(TagId, Counter)],
+        challenge: &UtrpChallenge,
+        window: u64,
+        rng: &mut StdRng,
+    ) -> Vec<Bitstring> {
+        let n = registry.len();
+        let shift = |k: usize, by: fn(u64, u64) -> u64, d: u64| -> Vec<(TagId, Counter)> {
+            let mut field = registry.to_vec();
+            field[k].1 = Counter::new(by(field[k].1.get(), d));
+            field
+        };
+        let depth = |rng: &mut StdRng| rng.gen_range(1..=window + 3);
+        let lead = depth(rng);
+        let uniform: Vec<(TagId, Counter)> = registry
+            .iter()
+            .map(|&(id, ct)| (id, Counter::new(ct.get().wrapping_add(lead))))
+            .collect();
+        let lagging = shift(rng.gen_range(0..n), u64::wrapping_sub, depth(rng));
+        let leading = shift(rng.gen_range(0..n), u64::wrapping_add, rng.gen_range(1..=8));
+        let (k1, k2) = (rng.gen_range(0..n), rng.gen_range(0..n - 1));
+        let mut two = shift(k1, u64::wrapping_sub, depth(rng));
+        let k2 = if k2 >= k1 { k2 + 1 } else { k2 };
+        two[k2].1 = Counter::new(two[k2].1.get().wrapping_sub(depth(rng)));
+        let mut robbed = registry.to_vec();
+        for _ in 0..rng.gen_range(1..=3.min(n - 1)) {
+            robbed.remove(rng.gen_range(0..robbed.len()));
+        }
+        let mut fields: Vec<Bitstring> = [uniform, lagging, leading, two, robbed]
+            .iter()
+            .map(|field| expected_round(field, challenge).unwrap().bitstring)
+            .collect();
+        let mut flipped = expected_round(registry, challenge).unwrap().bitstring;
+        let bit = rng.gen_range(0..flipped.len());
+        flipped.set(bit, !flipped.get(bit).unwrap()).unwrap();
+        fields.push(flipped);
+        fields
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn diagnosis_agrees_with_brute_force(
+            n in 2usize..=220,
+            f_pick in any::<u64>(),
+            window in 1u64..=130,
+            mixed in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = rng.gen_range(0..1_000u64);
+            let mut ids: BTreeMap<TagId, Counter> = BTreeMap::new();
+            while ids.len() < n {
+                let ct = if mixed { base + rng.gen_range(0..6u64) } else { base };
+                ids.insert(TagId::from(rng.gen::<u64>()), Counter::new(ct));
+            }
+            let registry: Vec<(TagId, Counter)> = ids.into_iter().collect();
+            let f = FrameSize::new(1 + f_pick % (3 * n as u64)).unwrap();
+            let challenge = UtrpChallenge::generate(f, &TimingModel::gen2(), &mut rng);
+            let mirror = expected_round(&registry, &challenge).unwrap().bitstring;
+            for observed in perturbed_fields(&registry, &challenge, window, &mut rng) {
+                if observed == mirror {
+                    continue;
+                }
+                let fast = MonitorServer::diagnose_desync(window, &registry, &challenge, &observed);
+                let brute = diagnose_desync_brute_force(window, &registry, &challenge, &observed);
+                prop_assert_eq!(fast.unwrap(), brute.unwrap(), "n={} f={} window={}", n, f, window);
+            }
+        }
     }
 }

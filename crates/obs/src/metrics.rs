@@ -389,12 +389,6 @@ impl Obs {
         self.recorder.borrow().to_jsonl()
     }
 
-    /// Events dropped by the flight ring so far.
-    #[must_use]
-    pub fn flight_dropped(&self) -> u64 {
-        self.recorder.borrow().dropped()
-    }
-
     /// Whether span tracing is active — instrumented loops may hoist
     /// this single branch out of per-announcement work.
     #[inline]
@@ -728,24 +722,5 @@ mod tests {
         let b = Obs::new();
         b.inc(b.m.rounds_total);
         assert_ne!(a.snapshot_digest(), b.snapshot_digest());
-    }
-
-    #[test]
-    fn flight_dropped_counts_ring_evictions() {
-        // Postmortems need to know how much of the window is missing:
-        // `flight_dropped` is the eviction count, not the retained size.
-        let obs = Obs::with_ring_capacity(2);
-        assert_eq!(obs.flight_dropped(), 0);
-        for tick in 0..5 {
-            obs.emit(ObsEvent::TickCompleted {
-                tick,
-                verdict: VerdictKind::Intact,
-            });
-        }
-        assert_eq!(obs.flight_dropped(), 3);
-        // The retained window is the newest two events.
-        let jsonl = obs.flight_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"tick\":4"));
     }
 }

@@ -234,13 +234,6 @@ impl SlotHasher {
     pub fn slot(self, id: TagId, r: Nonce, f: FrameSize) -> u64 {
         reduce(self.hash(id, r), f)
     }
-
-    /// Slot choice in `[0, f)` with the UTRP counter mixed in.
-    #[inline]
-    #[must_use]
-    pub fn slot_counted(self, id: TagId, r: Nonce, ct: Counter, f: FrameSize) -> u64 {
-        reduce(self.hash(id, r) ^ mix64(ct.get()), f)
-    }
 }
 
 /// The short random burst a tag transmits to claim a slot (paper
@@ -534,26 +527,5 @@ mod tests {
                 assert_eq!(fm.rem(h), reduce(h, f));
             }
         }
-    }
-
-    #[test]
-    fn seeded_slot_counted_mixes_the_counter() {
-        let h = SlotHasher::new(42);
-        let f = FrameSize::new(977).unwrap();
-        let id = TagId::new(0xfeed_face);
-        let r = Nonce::new(31337);
-        // Counter::ZERO mixes mix64(0) == 0, so the counted slot
-        // degenerates to the plain one — counter-oblivious TRP code and
-        // counter-bearing UTRP code agree at the zero point.
-        assert_eq!(h.slot_counted(id, r, Counter::ZERO, f), h.slot(id, r, f));
-        // A nonzero counter re-randomizes the choice (the whole point
-        // of Alg. 7: rescans land elsewhere), staying inside the frame.
-        let mut moved = false;
-        for ct in 1..=64u64 {
-            let s = h.slot_counted(id, r, Counter::new(ct), f);
-            assert!(s < f.get());
-            moved |= s != h.slot(id, r, f);
-        }
-        assert!(moved, "64 consecutive counters never moved the slot");
     }
 }
