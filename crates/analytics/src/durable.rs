@@ -1,9 +1,9 @@
 //! Crash-safe durable soak runs: WAL journaling, checkpointed warm
 //! restart, and corruption-fault recovery.
 //!
-//! [`run_soak_durable`] is the non-breaking durable twin of
-//! [`run_soak`](crate::soak::run_soak) (the same `*_observed` pattern
-//! the telemetry layer uses): it executes the identical tick sequence
+//! [`run_soak_durable_observed`] is the durable form of
+//! [`run_soak_observed_threads`](crate::soak::run_soak_observed_threads):
+//! it executes the identical tick sequence
 //! while journaling every tick's event line into a `tagwatch-store`
 //! write-ahead log, with a full driver checkpoint every
 //! [`DurableConfig::checkpoint_every`] ticks. A scripted
@@ -331,21 +331,13 @@ fn decode_tick(payload: &[u8]) -> Result<(u64, String), DurableError> {
     Ok((u64::from_le_bytes(raw), line.to_string()))
 }
 
-/// [`run_soak_durable_observed`] with telemetry disabled.
-///
-/// # Errors
-///
-/// See [`run_soak_durable_observed`].
-pub fn run_soak_durable(config: &DurableConfig) -> Result<DurableOutcome, DurableError> {
-    run_soak_durable_observed(config, &Obs::disabled())
-}
-
 /// Runs a soak while journaling it to a write-ahead log: a config
 /// record first (the WAL is self-contained), a full checkpoint before
 /// every `checkpoint_every`-th tick, and one tick record after every
 /// tick. With an empty fault plan the returned report is **equal** to
-/// [`run_soak`](crate::soak::run_soak)'s for the same [`SoakConfig`] —
-/// durability costs serialization, never behavior.
+/// [`run_soak_observed_threads`](crate::soak::run_soak_observed_threads)'s
+/// for the same [`SoakConfig`] — durability costs serialization, never
+/// behavior. Pass [`Obs::disabled`] to run without telemetry.
 ///
 /// When the scripted crash fires, the run stops *before* that tick
 /// (no checkpoint, no tick record for it), applies any scripted
@@ -561,7 +553,7 @@ pub fn resume_soak_durable_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soak::run_soak;
+    use crate::soak::run_soak_observed_threads;
     use tagwatch_sim::StorageFault;
 
     fn short() -> SoakConfig {
@@ -586,8 +578,8 @@ mod tests {
     #[test]
     fn durable_run_without_faults_matches_run_soak_exactly() {
         let config = durable(StorageFaultPlan::new());
-        let baseline = run_soak(&config.soak).unwrap();
-        let outcome = run_soak_durable(&config).unwrap();
+        let baseline = run_soak_observed_threads(&config.soak, &Obs::disabled(), 1).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         assert_eq!(outcome.interrupted_at, None);
         let report = outcome.report.expect("uninterrupted run completes");
         assert_eq!(report, baseline, "durability must not change behavior");
@@ -604,11 +596,11 @@ mod tests {
 
     #[test]
     fn crash_then_resume_reproduces_the_baseline_digest() {
-        let baseline = run_soak(&short()).unwrap();
+        let baseline = run_soak_observed_threads(&short(), &Obs::disabled(), 1).unwrap();
         // One mid-run crash (between checkpoints); the exhaustive
         // kill-at-every-tick sweep lives in tests/durability.rs.
         let config = durable(StorageFaultPlan::new().crash_at_tick(33));
-        let outcome = run_soak_durable(&config).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         assert_eq!(outcome.interrupted_at, Some(33));
         assert!(outcome.report.is_none());
 
@@ -623,7 +615,7 @@ mod tests {
 
     #[test]
     fn damaged_tails_are_excised_attributed_and_resumed() {
-        let baseline = run_soak(&short()).unwrap();
+        let baseline = run_soak_observed_threads(&short(), &Obs::disabled(), 1).unwrap();
         let cases: Vec<(StorageFault, &str)> = vec![
             (StorageFault::TornWrite { drop_bytes: 7 }, "torn"),
             (
@@ -637,7 +629,7 @@ mod tests {
         ];
         for (fault, expected) in cases {
             let config = durable(StorageFaultPlan::new().crash_at_tick(45).with_damage(fault));
-            let outcome = run_soak_durable(&config).unwrap();
+            let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
             let resumed = resume_soak_durable(&outcome.wal).unwrap();
             assert_eq!(
                 resumed.recovery.len(),
@@ -661,7 +653,7 @@ mod tests {
                 .crash_at_tick(40)
                 .with_damage(StorageFault::TornWrite { drop_bytes: 11 }),
         );
-        let outcome = run_soak_durable(&config).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         let plain = resume_soak_durable(&outcome.wal).unwrap();
         let obs = Obs::new();
         let observed = resume_soak_durable_observed(&outcome.wal, &obs).unwrap();
@@ -676,7 +668,7 @@ mod tests {
     #[test]
     fn destroyed_config_record_is_unrecoverable_not_silent() {
         let config = durable(StorageFaultPlan::new());
-        let outcome = run_soak_durable(&config).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         let mut bytes = outcome.wal;
         // Flip a bit inside the config record (the first record).
         bytes[tagwatch_store::WAL_HEADER_LEN + 6] ^= 0x10;
@@ -695,7 +687,7 @@ mod tests {
             ..durable(StorageFaultPlan::new())
         };
         assert!(matches!(
-            run_soak_durable(&zero_checkpoint),
+            run_soak_durable_observed(&zero_checkpoint, &Obs::disabled()),
             Err(DurableError::Config { .. })
         ));
         let bad_bit = durable(StorageFaultPlan::new().crash_at_tick(5).with_damage(
@@ -705,7 +697,7 @@ mod tests {
             },
         ));
         assert!(matches!(
-            run_soak_durable(&bad_bit),
+            run_soak_durable_observed(&bad_bit, &Obs::disabled()),
             Err(DurableError::Config { .. })
         ));
         let zero_ticks = DurableConfig {
@@ -716,7 +708,7 @@ mod tests {
             ..DurableConfig::default()
         };
         assert!(matches!(
-            run_soak_durable(&zero_ticks),
+            run_soak_durable_observed(&zero_ticks, &Obs::disabled()),
             Err(DurableError::Core(_))
         ));
     }
@@ -780,13 +772,13 @@ mod tests {
                 fault: StorageFaultPlan::new(),
                 ..config.clone()
             };
-            run_soak_durable(&complete)
+            run_soak_durable_observed(&complete, &Obs::disabled())
                 .unwrap()
                 .report
                 .expect("uninterrupted run completes")
         };
 
-        let outcome = run_soak_durable(&config).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         assert_eq!(outcome.interrupted_at, Some(33));
         let resumed = resume_soak_durable(&outcome.wal).unwrap();
         assert_eq!(resumed.policy, policy, "WAL must carry the exact policy");
@@ -799,7 +791,7 @@ mod tests {
             fault: StorageFaultPlan::new().crash_at_tick(0),
             ..config.clone()
         };
-        let outcome = run_soak_durable(&early).unwrap();
+        let outcome = run_soak_durable_observed(&early, &Obs::disabled()).unwrap();
         let resumed = resume_soak_durable(&outcome.wal).unwrap();
         assert_eq!(resumed.resumed_from, 0);
         assert_eq!(resumed.policy, policy);
@@ -816,7 +808,7 @@ mod tests {
             ..DurableConfig::default()
         };
         assert!(matches!(
-            run_soak_durable(&config),
+            run_soak_durable_observed(&config, &Obs::disabled()),
             Err(DurableError::Config { .. })
         ));
     }

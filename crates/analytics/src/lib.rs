@@ -27,7 +27,7 @@
 //!   against a Markov-evolving channel with scripted incident bursts,
 //!   invariant checks after every tick, and a deterministic JSON
 //!   report for CI regression tracking.
-//! * [`durable`] — crash-safe soak twins: every tick journaled to a
+//! * [`durable`] — crash-safe soak runs: every tick journaled to a
 //!   `tagwatch-store` write-ahead log with periodic checkpoints, so a
 //!   run killed at any tick resumes to a byte-identical report, and
 //!   corrupted WAL tails are excised with an attributable trace.
@@ -38,26 +38,23 @@
 
 pub mod durable;
 pub mod experiments;
-pub mod histogram;
 pub mod montecarlo;
 pub mod parallel;
 pub mod policy;
 pub mod pool;
 pub mod report;
-pub mod scan;
 pub mod session;
 pub mod soak;
 pub mod stats;
 
 pub use durable::{
-    resume_soak_durable, resume_soak_durable_observed, run_soak_durable, run_soak_durable_observed,
-    DurableConfig, DurableError, DurableOutcome, ResumeOutcome,
+    resume_soak_durable, resume_soak_durable_observed, run_soak_durable_observed, DurableConfig,
+    DurableError, DurableOutcome, ResumeOutcome,
 };
 pub use experiments::{
     budget_sweep, fig4, fig4_time, fig5, fig6, fig7, pad_ablation, BudgetSweepRow, Fig4Row,
     Fig4TimeRow, Fig5Row, Fig6Row, Fig7Row, PadAblationRow, SweepConfig,
 };
-pub use histogram::{percentile, Histogram};
 pub use montecarlo::{
     collect_all_slots_trial, trp_detection_trial, trp_false_alarm_trial, utrp_detection_cell,
     utrp_detection_trial,
@@ -66,15 +63,10 @@ pub use parallel::{parallel_count, parallel_map, worker_threads};
 pub use policy::{EscalateAction, Policy, PolicyAction, PolicyError, POLICY_HEADER};
 pub use pool::{PooledEngine, POOL_THRESHOLD};
 pub use report::{sparkline, Table};
-pub use scan::{
-    chunked_min_scan, chunked_min_scan_counting, parallel_min_scan, run_round_chunked_observed,
-    run_round_parallel, run_round_parallel_observed,
-};
 pub use session::{
     MonitoringSession, SessionBuilder, SessionEvent, SessionLadderState, TickProtocol,
 };
 pub use soak::{
-    run_soak, run_soak_observed, run_soak_observed_threads, run_soak_policy,
-    run_soak_policy_observed, run_soak_policy_observed_threads, SoakConfig, SoakCounts, SoakReport,
+    run_soak_observed_threads, run_soak_policy_observed_threads, SoakConfig, SoakCounts, SoakReport,
 };
 pub use stats::{Proportion, Summary};

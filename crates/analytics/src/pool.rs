@@ -28,10 +28,17 @@
 //!
 //! ## Determinism
 //!
-//! The merge is the index-ordered discipline proven in
-//! [`crate::scan`]: the global minimum is the min over shard minima,
-//! and the winners are exactly the members of every shard whose
-//! minimum equals it. A round's observables — bitstring,
+//! Every announcement reduces the active set to its minimum reply slot
+//! plus the tags that chose it. Each shard scans its slice of the
+//! active arrays with the same [`ScanJob`] kernel the scalar engine
+//! runs, so every tag's slot comes from identical code. The merge
+//! takes the global minimum as the min over shard minima, an
+//! order-free reduction, so the order in which replies arrive cannot
+//! matter; the winners are exactly the members of every shard whose
+//! minimum equals it, and each such shard retires its own. Together
+//! they are the tags the sequential scan finds at that minimum, so
+//! every announcement retires the same tags as the scalar engine, not
+//! merely the same final bitstring. A round's observables — bitstring,
 //! announcement count, probe totals — depend only on the *set* of
 //! active tags per announcement, never on array order or shard
 //! boundaries, so any shard count (including 1, the scalar engine)
@@ -39,8 +46,7 @@
 //! sub-frame shrinking, uniform-key collapse) is not reimplemented: it
 //! is the same [`SubframeCursor`] the scalar engine runs.
 //!
-//! Probe accounting keeps the established contract
-//! (see [`crate::scan::chunked_min_scan_counting`]): `probes` is
+//! Probe accounting sums per-shard [`ScanStats`]: `probes` is
 //! thread-invariant (`Σ active_i` for any exact engine), while
 //! `filtered` is strategy-dependent diagnostics (the candidate filter
 //! warms up per shard).
@@ -54,13 +60,9 @@
 //! writes fallback events into `obs`: an exact engine must be
 //! observably indistinguishable from the scalar engine at every
 //! thread count, or the committed golden digests would fork on the
-//! operator's `--threads` choice. The flight-ring
-//! `ObsEvent::ScalarFallback` event lives in the reference scanner's
-//! observed entry point instead
-//! ([`crate::scan::run_round_parallel_observed`]). A pool configured
-//! with `threads <= 1` never spawns workers and *is* the scalar
-//! engine (no fallback accounting: scalar is the chosen path, not a
-//! fallback).
+//! operator's `--threads` choice. A pool configured with
+//! `threads <= 1` never spawns workers and *is* the scalar engine (no
+//! fallback accounting: scalar is the chosen path, not a fallback).
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -229,9 +231,6 @@ pub struct PooledEngine {
     /// Whether the *current* load went to the workers (vs the scalar
     /// fallback).
     used_pool: bool,
-    /// Set when a multi-thread pool fell back to scalar for the
-    /// current load: `(actives, threshold)` of the staged population.
-    pending_fallback: Option<(u64, u64)>,
     /// Rounds a multi-thread pool ran on the scalar path.
     fallbacks: u64,
     /// A worker vanished mid-protocol (only possible through a panic
@@ -281,7 +280,6 @@ impl PooledEngine {
             staging: Arc::new(Vec::new()),
             threshold,
             used_pool: false,
-            pending_fallback: None,
             fallbacks: 0,
             broken: false,
             uniform_base: None,
@@ -484,14 +482,8 @@ impl PooledEngine {
             return self.run_pooled(f, nonces, obs);
         }
         // Fallback rounds count on the engine but deliberately emit
-        // nothing to `obs`: an exact engine must be observably
-        // indistinguishable from the scalar engine at every thread
-        // count, or the committed golden digests would fork on the
-        // operator's `--threads` choice. Flight-ring fallback events
-        // live in the reference scanner's observed entry point
-        // (`crate::scan::run_round_parallel_observed`), outside every
-        // digested path.
-        if self.pending_fallback.is_some() {
+        // nothing to `obs` (see the module docs).
+        if !self.cmd_txs.is_empty() {
             self.fallbacks += 1;
         }
         match obs {
@@ -514,7 +506,6 @@ impl RoundEngine for PooledEngine {
             // scratch loads exactly as it always has.
             RoundEngine::load(&mut self.scalar, parts);
             self.used_pool = false;
-            self.pending_fallback = None;
             return;
         }
         // Stage actives once (mute tags drop here, as in the scalar
@@ -549,11 +540,9 @@ impl RoundEngine for PooledEngine {
                     .map(|r| (r.id, Counter::new(r.base), false)),
             );
             self.used_pool = false;
-            self.pending_fallback = Some((self.staging.len() as u64, self.threshold as u64));
             return;
         }
         self.used_pool = true;
-        self.pending_fallback = None;
         self.dispatch_load();
     }
 
@@ -718,7 +707,7 @@ mod tests {
         // every thread count precisely because the engine is
         // observably indistinguishable from the scalar path.
         assert!(
-            !obs.flight_jsonl().contains("scalar_fallback"),
+            obs.flight_jsonl().is_empty(),
             "fallback leaked into the flight ring"
         );
 
@@ -731,7 +720,7 @@ mod tests {
             .run_observed(ch.frame_size(), ch.nonces(), &single_obs)
             .unwrap();
         assert_eq!(single.scalar_fallbacks(), 0);
-        assert!(!single_obs.flight_jsonl().contains("scalar_fallback"));
+        assert!(single_obs.flight_jsonl().is_empty());
     }
 
     #[test]

@@ -395,21 +395,21 @@ impl MonitoringSession {
     ///
     /// [`release_quarantined_with`]: MonitoringSession::release_quarantined_with
     pub fn release_quarantined<I: IntoIterator<Item = TagId>>(&mut self, tags: I) -> Vec<TagId> {
-        self.release_quarantined_with(tags, 0, None)
+        self.release_quarantined_with(tags, 0, &Obs::disabled())
     }
 
-    /// [`release_quarantined`], optionally instrumented: when an
-    /// observer is supplied the audit is counted and the time the
-    /// released tags spent quarantined (`latency_ticks`, tracked by
-    /// the driver) is recorded. A non-empty release is logged on the
-    /// policy trace as [`PolicyAction::ReleaseAudited`] either way.
+    /// [`release_quarantined`], instrumented: an enabled `obs` counts
+    /// the audit and records the time the released tags spent
+    /// quarantined (`latency_ticks`, tracked by the driver). A
+    /// non-empty release is logged on the policy trace as
+    /// [`PolicyAction::ReleaseAudited`] either way.
     ///
     /// [`release_quarantined`]: MonitoringSession::release_quarantined
     pub fn release_quarantined_with<I: IntoIterator<Item = TagId>>(
         &mut self,
         tags: I,
         latency_ticks: u64,
-        obs: Option<&Obs>,
+        obs: &Obs,
     ) -> Vec<TagId> {
         let mut released = Vec::new();
         for tag in tags {
@@ -422,15 +422,13 @@ impl MonitoringSession {
             self.policy_trace.push(PolicyAction::ReleaseAudited {
                 released: released.len(),
             });
-            if let Some(obs) = obs {
-                obs.inc(obs.m.audits_total);
-                obs.observe(obs.m.audit_latency_ticks, latency_ticks as f64);
-                obs.set_gauge(obs.m.quarantine_occupancy, self.quarantined.len() as u64);
-                obs.emit(ObsEvent::AuditCompleted {
-                    released: released.len() as u64,
-                    latency_ticks,
-                });
-            }
+            obs.inc(obs.m.audits_total);
+            obs.observe(obs.m.audit_latency_ticks, latency_ticks as f64);
+            obs.set_gauge(obs.m.quarantine_occupancy, self.quarantined.len() as u64);
+            obs.emit(ObsEvent::AuditCompleted {
+                released: released.len() as u64,
+                latency_ticks,
+            });
         }
         released
     }
@@ -466,19 +464,18 @@ impl MonitoringSession {
         floor: &mut TagPopulation,
         rng: &mut R,
     ) -> Result<&SessionEvent, CoreError> {
-        self.tick_with(floor, &RoundExecutor::ideal(), rng, None)
+        self.tick_with(floor, &RoundExecutor::ideal(), rng, &Obs::disabled())
     }
 
     /// Runs one scheduled check against the physical floor through
     /// `executor`, interpreting the session's [`Policy`]: escalation
     /// when the alarm threshold is reached, in-tick desync recovery,
     /// strike-driven quarantine. Returns the event appended to the
-    /// log. With `obs: Some(..)`, round and verdict telemetry flows
-    /// through the observed protocol paths and every ladder decision
-    /// is recorded into the observer as it climbs; with `None` (or a
-    /// disabled [`Obs`]) the tick is behaviorally identical — same
-    /// log, same RNG stream — so drivers thread one code path and pay
-    /// for telemetry only when it is on.
+    /// log. An enabled `obs` records round and verdict telemetry and
+    /// every ladder decision as the ladder climbs; with
+    /// [`Obs::disabled`] the tick is behaviorally identical — same log,
+    /// same RNG stream — so drivers thread one code path and pay for
+    /// telemetry only when it is on.
     ///
     /// A UTRP check that comes back [`Verdict::Desynced`] is recovered
     /// in-tick: the diagnosed hypothesis is applied to the counter
@@ -509,40 +506,28 @@ impl MonitoringSession {
         floor: &mut TagPopulation,
         executor: &RoundExecutor,
         rng: &mut R,
-        obs: Option<&Obs>,
+        obs: &Obs,
     ) -> Result<&SessionEvent, CoreError> {
         let report = match self.policy.protocol {
-            TickProtocol::Trp => match obs {
-                Some(obs) => Trp.run_round_observed(
-                    &mut self.server,
-                    floor,
-                    executor,
-                    &mut self.engine,
-                    rng,
-                    obs,
-                )?,
-                None => Trp.run_round(&mut self.server, floor, executor, &mut self.engine, rng)?,
-            },
+            TickProtocol::Trp => Trp.run_round_observed(
+                &mut self.server,
+                floor,
+                executor,
+                &mut self.engine,
+                rng,
+                obs,
+            )?,
             TickProtocol::Utrp => {
                 let mut attempt = 0u32;
                 let report = loop {
-                    let report = match obs {
-                        Some(obs) => Utrp.run_round_observed(
-                            &mut self.server,
-                            floor,
-                            executor,
-                            &mut self.engine,
-                            rng,
-                            obs,
-                        )?,
-                        None => Utrp.run_round(
-                            &mut self.server,
-                            floor,
-                            executor,
-                            &mut self.engine,
-                            rng,
-                        )?,
-                    };
+                    let report = Utrp.run_round_observed(
+                        &mut self.server,
+                        floor,
+                        executor,
+                        &mut self.engine,
+                        rng,
+                        obs,
+                    )?;
                     if !report.verdict.is_desynced() {
                         break report;
                     }
@@ -556,13 +541,11 @@ impl MonitoringSession {
                         attempt,
                         suspects: suspects.len(),
                     });
-                    if let Some(obs) = obs {
-                        obs.inc(obs.m.resync_attempts);
-                        obs.emit(ObsEvent::Resynced {
-                            attempt: u64::from(attempt),
-                            suspects: suspects.len() as u64,
-                        });
-                    }
+                    obs.inc(obs.m.resync_attempts);
+                    obs.emit(ObsEvent::Resynced {
+                        attempt: u64::from(attempt),
+                        suspects: suspects.len() as u64,
+                    });
                     self.log.push(SessionEvent::Resynced {
                         attempt,
                         suspects: suspects.clone(),
@@ -575,30 +558,23 @@ impl MonitoringSession {
                                 threshold,
                             });
                         }
-                        if let Some(obs) = obs {
-                            obs.inc(obs.m.quarantine_events);
-                            obs.set_gauge(
-                                obs.m.quarantine_occupancy,
-                                self.quarantined.len() as u64,
-                            );
-                            obs.emit(ObsEvent::Quarantined {
-                                tags: newly.len() as u64,
-                                occupancy: self.quarantined.len() as u64,
-                            });
-                            obs.capture_dump("quarantine");
-                        }
+                        obs.inc(obs.m.quarantine_events);
+                        obs.set_gauge(obs.m.quarantine_occupancy, self.quarantined.len() as u64);
+                        obs.emit(ObsEvent::Quarantined {
+                            tags: newly.len() as u64,
+                            occupancy: self.quarantined.len() as u64,
+                        });
+                        obs.capture_dump("quarantine");
                         self.log.push(SessionEvent::Quarantined { tags: newly });
                     }
                     if attempt > self.policy.max_desync_retries {
                         break report;
                     }
                 };
-                if let Some(obs) = obs {
-                    if attempt > 0 {
-                        obs.observe(obs.m.resync_depth, f64::from(attempt));
-                        if !report.verdict.is_desynced() {
-                            obs.inc(obs.m.resync_successes);
-                        }
+                if attempt > 0 {
+                    obs.observe(obs.m.resync_depth, f64::from(attempt));
+                    if !report.verdict.is_desynced() {
+                        obs.inc(obs.m.resync_successes);
                     }
                 }
                 report
@@ -636,14 +612,12 @@ impl MonitoringSession {
                 }
                 EscalateAction::Report => (Vec::new(), Vec::new(), 0),
             };
-            if let Some(obs) = obs {
-                obs.inc(obs.m.escalations);
-                obs.emit(ObsEvent::Escalated {
-                    missing: missing.len() as u64,
-                    unresolved: unresolved.len() as u64,
-                    slots_used,
-                });
-            }
+            obs.inc(obs.m.escalations);
+            obs.emit(ObsEvent::Escalated {
+                missing: missing.len() as u64,
+                unresolved: unresolved.len() as u64,
+                slots_used,
+            });
             self.log.push(SessionEvent::Checked(report));
             self.log.push(SessionEvent::Escalated {
                 missing,
@@ -964,33 +938,10 @@ mod tests {
     }
 
     #[test]
-    fn tick_is_byte_identical_to_tick_with_ideal_executor() {
-        // The unified-executor regression: the convenience tick and an
-        // explicit ideal executor must produce identical logs, server
-        // histories, and RNG streams.
-        use rand::Rng as _;
-        for protocol in [TickProtocol::Trp, TickProtocol::Utrp] {
-            let policy = Policy {
-                protocol,
-                ..Policy::default()
-            };
-            let (mut a, mut floor_a) = session(120, 3, policy.clone());
-            let (mut b, mut floor_b) = session(120, 3, policy);
-            let mut rng_a = StdRng::seed_from_u64(31);
-            let mut rng_b = StdRng::seed_from_u64(31);
-            let ideal = RoundExecutor::ideal();
-            for _ in 0..4 {
-                a.tick(&mut floor_a, &mut rng_a).unwrap();
-                b.tick_with(&mut floor_b, &ideal, &mut rng_b, None).unwrap();
-            }
-            assert_eq!(a.log(), b.log(), "{protocol:?}");
-            assert_eq!(a.server().history(), b.server().history());
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG diverged");
-        }
-    }
-
-    #[test]
     fn observed_tick_matches_plain_and_counts_rounds() {
+        // The no-observer tick and an explicit ideal executor under
+        // any observer produce identical logs, policy traces, server
+        // histories, and RNG streams.
         use rand::Rng as _;
         use tagwatch_obs::Obs;
         for (protocol, enabled) in [
@@ -1010,15 +961,19 @@ mod tests {
             let ideal = RoundExecutor::ideal();
             let obs = if enabled { Obs::new() } else { Obs::disabled() };
             for _ in 0..4 {
-                a.tick_with(&mut floor_a, &ideal, &mut rng_a, None).unwrap();
-                b.tick_with(&mut floor_b, &ideal, &mut rng_b, Some(&obs))
-                    .unwrap();
+                a.tick(&mut floor_a, &mut rng_a).unwrap();
+                b.tick_with(&mut floor_b, &ideal, &mut rng_b, &obs).unwrap();
             }
             assert_eq!(a.log(), b.log(), "{protocol:?} enabled={enabled}");
+            assert_eq!(a.policy_trace(), b.policy_trace());
             assert_eq!(a.server().history(), b.server().history());
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG diverged");
             let expected = if enabled { 4 } else { 0 };
             assert_eq!(obs.counter(obs.m.rounds_total), expected);
+            assert_eq!(
+                a.release_quarantined([TagId::new(0)]),
+                b.release_quarantined_with([TagId::new(0)], 1, &obs)
+            );
         }
     }
 
@@ -1045,7 +1000,7 @@ mod tests {
         let obs = Obs::new();
         let ideal = RoundExecutor::ideal();
         let event = session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .unwrap();
         assert!(matches!(event, SessionEvent::Checked(r) if r.verdict.is_intact()));
         assert_eq!(obs.counter(obs.m.resync_attempts), 1);
@@ -1106,7 +1061,7 @@ mod tests {
         let obs = Obs::new();
         let ideal = RoundExecutor::ideal();
         session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .unwrap();
         assert_eq!(session.quarantined(), vec![victim]);
         assert_eq!(obs.counter(obs.m.quarantine_events), 1);
@@ -1115,7 +1070,7 @@ mod tests {
         // it; the quarantine trigger is a no-op afterwards.
         assert!(obs.dump().is_some());
 
-        let released = session.release_quarantined_with([victim], 3, Some(&obs));
+        let released = session.release_quarantined_with([victim], 3, &obs);
         assert_eq!(released, vec![victim]);
         assert_eq!(obs.counter(obs.m.audits_total), 1);
         assert_eq!(obs.gauge(obs.m.quarantine_occupancy), 0);
@@ -1187,7 +1142,7 @@ mod tests {
             Some(FaultPlan::new().truncate_response(8)),
         );
         let event = session
-            .tick_with(&mut floor, &truncating, &mut rng, None)
+            .tick_with(&mut floor, &truncating, &mut rng, &Obs::disabled())
             .unwrap();
         assert!(event.is_alarm());
 
@@ -1203,35 +1158,6 @@ mod tests {
         session.audit_resync(&floor).unwrap();
         assert!(session.server().counters_synced());
         assert!(!session.tick(&mut floor, &mut rng).unwrap().is_alarm());
-    }
-
-    #[test]
-    fn observed_tick_is_byte_identical_to_unobserved() {
-        use rand::Rng as _;
-        use tagwatch_obs::Obs;
-        let policy = Policy {
-            protocol: TickProtocol::Utrp,
-            ..Policy::default()
-        };
-        let (mut a, mut floor_a) = session(120, 3, policy.clone());
-        let (mut b, mut floor_b) = session(120, 3, policy);
-        let mut rng_a = StdRng::seed_from_u64(31);
-        let mut rng_b = StdRng::seed_from_u64(31);
-        let ideal = RoundExecutor::ideal();
-        let obs_a = Obs::new();
-        for _ in 0..4 {
-            a.tick_with(&mut floor_a, &ideal, &mut rng_a, Some(&obs_a))
-                .unwrap();
-            b.tick_with(&mut floor_b, &ideal, &mut rng_b, None).unwrap();
-        }
-        assert_eq!(a.log(), b.log());
-        assert_eq!(a.policy_trace(), b.policy_trace());
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG diverged");
-        assert!(obs_a.counter(obs_a.m.rounds_total) > 0);
-        assert_eq!(
-            a.release_quarantined_with([TagId::new(0)], 1, Some(&obs_a)),
-            b.release_quarantined_with([TagId::new(0)], 1, None)
-        );
     }
 
     #[test]

@@ -39,12 +39,12 @@ use tagwatch_core::{
     CoreError, MonitorServer, RegistrySnapshot, RoundExecutor, ServerConfig, StateCapture,
     StateRestore, Verdict,
 };
+use tagwatch_obs::histogram::{percentile, Histogram};
 use tagwatch_obs::{fnv1a_lines, json_escape, json_f64, FlightDump, Obs, ObsEvent, VerdictKind};
 use tagwatch_sim::{Counter, FaultPlan, MarkovChannel, SeedSequence, Tag, TagId, TagPopulation};
 use tagwatch_store::checkpoint::CheckpointDoc;
 use tagwatch_store::StoreError;
 
-use crate::histogram::{percentile, Histogram};
 use crate::policy::Policy;
 use crate::session::{MonitoringSession, SessionEvent, SessionLadderState, TickProtocol};
 
@@ -178,7 +178,7 @@ pub struct SoakReport {
     /// byte-identical across runs of the same config.
     pub log: Vec<String>,
     /// The flight-recorder postmortem, when an instrumented run
-    /// ([`run_soak_observed`]) tripped a failure trigger (invariant
+    /// ([`run_soak_observed_threads`]) tripped a failure trigger (invariant
     /// violation, desync, or quarantine). Always `None` for
     /// uninstrumented runs.
     pub flight_dump: Option<FlightDump>,
@@ -838,12 +838,8 @@ impl<'a> SoakDriver<'a> {
 
             // 4. One monitoring tick through the channel + fault plan.
             let executor = RoundExecutor::new(self.markov.channel(), plan);
-            self.session.tick_with(
-                &mut self.floor,
-                &executor,
-                &mut self.tick_rng,
-                Some(self.obs),
-            )?;
+            self.session
+                .tick_with(&mut self.floor, &executor, &mut self.tick_rng, self.obs)?;
 
             // 5. Digest the tick's events; enforce invariants.
             let (verdict, trace) = self.scan_events(t)?;
@@ -1350,41 +1346,25 @@ fn opt_line(value: Option<u64>) -> String {
 /// Runs one deterministic soak and returns its report. See the module
 /// docs for the channel model, incident schedule, and invariants.
 ///
-/// Byte-identical to [`run_soak_observed`] with a disabled [`Obs`]:
-/// same log, same digest, same report.
+/// Rounds, verdicts, resyncs, audits, and per-tick outcomes stream
+/// into `obs`'s metrics and flight ring, and any invariant violation
+/// (as well as any desync or quarantine inside the session) latches a
+/// flight-recorder dump — returned on the report as
+/// [`SoakReport::flight_dump`] — for postmortem inspection. Pass
+/// [`Obs::disabled`] to run without telemetry: the log, digest and
+/// report are the same with any `obs`.
 ///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for inconsistent configs, and
-/// propagates protocol errors (none are expected on a healthy run —
-/// every fault the driver scripts is one the session recovers from).
-pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, CoreError> {
-    run_soak_observed(config, &Obs::disabled())
-}
-
-/// [`run_soak`] with telemetry: rounds, verdicts, resyncs, audits, and
-/// per-tick outcomes stream into `obs`'s metrics and flight ring, and
-/// any invariant violation (as well as any desync or quarantine inside
-/// the session) latches a flight-recorder dump — returned on the
-/// report as [`SoakReport::flight_dump`] — for postmortem inspection.
-///
-/// # Errors
-///
-/// See [`run_soak`].
-pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> Result<SoakReport, CoreError> {
-    run_soak_observed_threads(config, obs, 1)
-}
-
-/// [`run_soak_observed`] with the session's round engine scanning on
-/// `threads` workers (1 = the scalar engine, byte-identical to
-/// [`run_soak`]). Thread count is an execution knob, not part of
+/// The session's round engine scans on `threads` workers (1 = the
+/// scalar engine). Thread count is an execution knob, not part of
 /// [`SoakConfig`]: the report — log, digest, counts — is byte-identical
 /// at any value, which `tests/determinism_digests.rs` pins against the
 /// committed goldens.
 ///
 /// # Errors
 ///
-/// See [`run_soak`].
+/// Returns [`CoreError::InvalidParams`] for inconsistent configs, and
+/// propagates protocol errors (none are expected on a healthy run —
+/// every fault the driver scripts is one the session recovers from).
 pub fn run_soak_observed_threads(
     config: &SoakConfig,
     obs: &Obs,
@@ -1396,43 +1376,19 @@ pub fn run_soak_observed_threads(
     driver.run()
 }
 
-/// [`run_soak`] under an explicit declarative [`Policy`] instead of the
-/// config-derived legacy defaults. The policy's protocol and desync
-/// window override the config's (the config still supplies the fleet
-/// shape and incident schedule), so the report's config JSON reflects
-/// what actually ran. Running under
+/// [`run_soak_observed_threads`] under an explicit declarative
+/// [`Policy`] instead of the config-derived legacy defaults. The
+/// policy's protocol and desync window override the config's (the
+/// config still supplies the fleet shape and incident schedule), so the
+/// report's config JSON reflects what actually ran. Running under
 /// `SoakDriver`'s derived default policy is byte-identical to
-/// [`run_soak`].
+/// [`run_soak_observed_threads`].
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParams`] for inconsistent configs or a
 /// policy that fails [`Policy::validate`], and propagates protocol
-/// errors as [`run_soak`] does.
-pub fn run_soak_policy(config: &SoakConfig, policy: &Policy) -> Result<SoakReport, CoreError> {
-    run_soak_policy_observed(config, policy, &Obs::disabled())
-}
-
-/// [`run_soak_policy`] with telemetry, mirroring [`run_soak_observed`].
-///
-/// # Errors
-///
-/// See [`run_soak_policy`].
-pub fn run_soak_policy_observed(
-    config: &SoakConfig,
-    policy: &Policy,
-    obs: &Obs,
-) -> Result<SoakReport, CoreError> {
-    run_soak_policy_observed_threads(config, policy, obs, 1)
-}
-
-/// [`run_soak_policy_observed`] on a `threads`-worker round engine,
-/// mirroring [`run_soak_observed_threads`]: same report bytes at any
-/// thread count.
-///
-/// # Errors
-///
-/// See [`run_soak_policy`].
+/// errors as [`run_soak_observed_threads`] does.
 pub fn run_soak_policy_observed_threads(
     config: &SoakConfig,
     policy: &Policy,
@@ -1464,7 +1420,8 @@ mod tests {
 
     #[test]
     fn utrp_soak_is_clean_and_exercises_every_incident_kind() {
-        let report = run_soak(&short(TickProtocol::Utrp)).unwrap();
+        let report =
+            run_soak_observed_threads(&short(TickProtocol::Utrp), &Obs::disabled(), 1).unwrap();
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.counts.thefts >= 1);
         assert!(report.counts.desync_bursts + report.counts.crashes >= 2);
@@ -1475,7 +1432,8 @@ mod tests {
 
     #[test]
     fn trp_soak_is_clean() {
-        let report = run_soak(&short(TickProtocol::Trp)).unwrap();
+        let report =
+            run_soak_observed_threads(&short(TickProtocol::Trp), &Obs::disabled(), 1).unwrap();
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert!(report.counts.crashes >= 1);
         assert_eq!(report.counts.desync_bursts, 0, "TRP has no counters");
@@ -1484,8 +1442,8 @@ mod tests {
     #[test]
     fn same_seed_is_byte_identical() {
         let config = short(TickProtocol::Utrp);
-        let a = run_soak(&config).unwrap();
-        let b = run_soak(&config).unwrap();
+        let a = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
+        let b = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
         assert_eq!(a.log, b.log);
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.to_json(), b.to_json());
@@ -1493,23 +1451,31 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run_soak(&short(TickProtocol::Utrp)).unwrap();
-        let b = run_soak(&SoakConfig {
-            seed: 2,
-            ..short(TickProtocol::Utrp)
-        })
+        let a = run_soak_observed_threads(&short(TickProtocol::Utrp), &Obs::disabled(), 1).unwrap();
+        let b = run_soak_observed_threads(
+            &SoakConfig {
+                seed: 2,
+                ..short(TickProtocol::Utrp)
+            },
+            &Obs::disabled(),
+            1,
+        )
         .unwrap();
         assert_ne!(a.digest(), b.digest());
     }
 
     #[test]
     fn report_json_has_the_documented_sections() {
-        let report = run_soak(&SoakConfig {
-            ticks: 30,
-            theft_period: 0,
-            burst_period: 10,
-            ..SoakConfig::default()
-        })
+        let report = run_soak_observed_threads(
+            &SoakConfig {
+                ticks: 30,
+                theft_period: 0,
+                burst_period: 10,
+                ..SoakConfig::default()
+            },
+            &Obs::disabled(),
+            1,
+        )
         .unwrap();
         let json = report.to_json();
         for key in [
@@ -1529,9 +1495,9 @@ mod tests {
     #[test]
     fn observed_soak_matches_plain_and_fills_metrics() {
         let config = short(TickProtocol::Utrp);
-        let plain = run_soak(&config).unwrap();
+        let plain = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
         let obs = Obs::new();
-        let observed = run_soak_observed(&config, &obs).unwrap();
+        let observed = run_soak_observed_threads(&config, &obs, 1).unwrap();
         assert_eq!(plain.log, observed.log);
         assert_eq!(plain.digest(), observed.digest());
         assert_eq!(plain.counts, observed.counts);
@@ -1572,8 +1538,8 @@ mod tests {
         };
         let obs_a = Obs::new();
         let obs_b = Obs::new();
-        let a = run_soak_observed(&config, &obs_a).unwrap();
-        let b = run_soak_observed(&config, &obs_b).unwrap();
+        let a = run_soak_observed_threads(&config, &obs_a, 1).unwrap();
+        let b = run_soak_observed_threads(&config, &obs_b, 1).unwrap();
         assert!(!a.is_clean(), "deadline of 1 must violate I1");
         assert!(a.violations.iter().any(|v| v.starts_with("I1")));
         assert!(obs_a.counter(obs_a.m.soak_violations) >= 1);
@@ -1593,20 +1559,21 @@ mod tests {
             m: 2,
             ..SoakConfig::default()
         };
-        assert!(run_soak(&under_tolerance).is_err());
+        assert!(run_soak_observed_threads(&under_tolerance, &Obs::disabled(), 1).is_err());
         let zero_ticks = SoakConfig {
             ticks: 0,
             ..SoakConfig::default()
         };
-        assert!(run_soak(&zero_ticks).is_err());
+        assert!(run_soak_observed_threads(&zero_ticks, &Obs::disabled(), 1).is_err());
     }
 
     #[test]
     fn derived_default_policy_is_byte_identical_to_config_run() {
         let config = short(TickProtocol::Utrp);
-        let legacy = run_soak(&config).unwrap();
+        let legacy = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
         let policy = SoakDriver::derive_policy(&config);
-        let declared = run_soak_policy(&config, &policy).unwrap();
+        let declared =
+            run_soak_policy_observed_threads(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_eq!(legacy.log, declared.log);
         assert_eq!(legacy.digest(), declared.digest());
         assert_eq!(legacy.to_json(), declared.to_json());
@@ -1615,10 +1582,11 @@ mod tests {
     #[test]
     fn non_default_policy_changes_the_run() {
         let config = short(TickProtocol::Utrp);
-        let legacy = run_soak(&config).unwrap();
+        let legacy = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
         let mut policy = SoakDriver::derive_policy(&config);
         policy.alarms_to_escalate = 4;
-        let declared = run_soak_policy(&config, &policy).unwrap();
+        let declared =
+            run_soak_policy_observed_threads(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_ne!(
             legacy.digest(),
             declared.digest(),
@@ -1631,7 +1599,8 @@ mod tests {
         let config = short(TickProtocol::Utrp);
         let mut policy = SoakDriver::derive_policy(&config);
         policy.protocol = TickProtocol::Trp;
-        let report = run_soak_policy(&config, &policy).unwrap();
+        let report =
+            run_soak_policy_observed_threads(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_eq!(
             report.counts.desync_bursts, 0,
             "TRP has no counters, so no bursts can be scripted"
@@ -1644,7 +1613,8 @@ mod tests {
         let config = short(TickProtocol::Utrp);
         let mut policy = SoakDriver::derive_policy(&config);
         policy.alarms_to_escalate = 0;
-        let err = run_soak_policy(&config, &policy).unwrap_err();
+        let err =
+            run_soak_policy_observed_threads(&config, &policy, &Obs::disabled(), 1).unwrap_err();
         assert!(
             format!("{err}").contains("policy rejected"),
             "unexpected error: {err}"
@@ -1658,7 +1628,7 @@ mod tests {
         policy.audit_budget = Some(0);
         policy.desyncs_to_quarantine = None; // budget 0 + quarantine is degenerate
         let obs = Obs::new();
-        let report = run_soak_policy_observed(&config, &policy, &obs).unwrap();
+        let report = run_soak_policy_observed_threads(&config, &policy, &obs, 1).unwrap();
         assert!(
             report.counts.audits > 0,
             "the scripted incidents must force audits"
@@ -1681,12 +1651,16 @@ mod tests {
 
     #[test]
     fn max_audits_in_window_slides_correctly() {
-        let mut report = run_soak(&SoakConfig {
-            ticks: 10,
-            theft_period: 0,
-            burst_period: 0,
-            ..SoakConfig::default()
-        })
+        let mut report = run_soak_observed_threads(
+            &SoakConfig {
+                ticks: 10,
+                theft_period: 0,
+                burst_period: 0,
+                ..SoakConfig::default()
+            },
+            &Obs::disabled(),
+            1,
+        )
         .unwrap();
         report.audit_ticks = vec![1, 2, 3, 200, 201, 500];
         assert_eq!(report.max_audits_in_window(100), 3);

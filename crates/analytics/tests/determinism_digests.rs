@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use tagwatch_analytics::soak::{run_soak_observed, run_soak_observed_threads, SoakConfig};
+use tagwatch_analytics::soak::{run_soak_observed_threads, SoakConfig};
 use tagwatch_analytics::{worker_threads, TickProtocol};
 use tagwatch_obs::Obs;
 
@@ -45,7 +45,7 @@ fn instrumented_soak_matches_committed_golden_digest() {
         ..SoakConfig::default()
     };
     let obs = Obs::new();
-    let report = run_soak_observed(&config, &obs).expect("soak runs");
+    let report = run_soak_observed_threads(&config, &obs, 1).expect("soak runs");
     assert!(report.config.ticks == 200);
 
     let metrics = obs.snapshot_json();
@@ -124,8 +124,8 @@ fn soak_report_is_byte_identical_across_runs() {
         ticks: 50,
         ..SoakConfig::default()
     };
-    let a = run_soak_observed(&config, &Obs::new()).expect("soak runs");
-    let b = run_soak_observed(&config, &Obs::new()).expect("soak runs");
+    let a = run_soak_observed_threads(&config, &Obs::new(), 1).expect("soak runs");
+    let b = run_soak_observed_threads(&config, &Obs::new(), 1).expect("soak runs");
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.digest(), b.digest());
 }

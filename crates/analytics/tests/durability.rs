@@ -3,8 +3,10 @@
 //! to a report byte-identical to the never-crashed baseline's.
 
 use tagwatch_analytics::{
-    resume_soak_durable, run_soak, run_soak_durable, DurableConfig, SoakConfig, TickProtocol,
+    resume_soak_durable, run_soak_durable_observed, run_soak_observed_threads, DurableConfig,
+    SoakConfig, TickProtocol,
 };
+use tagwatch_obs::Obs;
 use tagwatch_sim::{StorageFault, StorageFaultPlan};
 
 /// Small but fully scripted: desync/crash bursts at ticks 15/30/45, a
@@ -37,10 +39,10 @@ fn durable(soak: SoakConfig, fault: StorageFaultPlan) -> DurableConfig {
 #[test]
 fn kill_at_every_tick_resumes_to_identical_report() {
     let soak = short(TickProtocol::Utrp);
-    let baseline = run_soak(&soak).unwrap();
+    let baseline = run_soak_observed_threads(&soak, &Obs::disabled(), 1).unwrap();
     for crash_tick in 0..soak.ticks {
         let config = durable(soak, StorageFaultPlan::new().crash_at_tick(crash_tick));
-        let outcome = run_soak_durable(&config).unwrap();
+        let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
         assert_eq!(outcome.interrupted_at, Some(crash_tick));
         let resumed = resume_soak_durable(&outcome.wal)
             .unwrap_or_else(|e| panic!("resume after crash at {crash_tick} failed: {e}"));
@@ -74,7 +76,7 @@ fn kill_at_every_tick_resumes_to_identical_report() {
 fn damaged_crashes_across_protocols_still_converge() {
     for protocol in [TickProtocol::Trp, TickProtocol::Utrp] {
         let soak = short(protocol);
-        let baseline = run_soak(&soak).unwrap();
+        let baseline = run_soak_observed_threads(&soak, &Obs::disabled(), 1).unwrap();
         for crash_tick in [1, 12, 13, 29, 30, 31, 45, 59] {
             for fault in [
                 StorageFault::TornWrite { drop_bytes: 9 },
@@ -90,7 +92,7 @@ fn damaged_crashes_across_protocols_still_converge() {
                         .crash_at_tick(crash_tick)
                         .with_damage(fault),
                 );
-                let outcome = run_soak_durable(&config).unwrap();
+                let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
                 let resumed = resume_soak_durable(&outcome.wal)
                     .unwrap_or_else(|e| panic!("{protocol:?} crash {crash_tick} {fault:?}: {e}"));
                 assert_eq!(
@@ -119,7 +121,7 @@ fn damaged_crashes_across_protocols_still_converge() {
 #[test]
 fn double_crash_recovery_is_stable() {
     let soak = short(TickProtocol::Utrp);
-    let baseline = run_soak(&soak).unwrap();
+    let baseline = run_soak_observed_threads(&soak, &Obs::disabled(), 1).unwrap();
 
     let config = durable(
         soak,
@@ -127,7 +129,7 @@ fn double_crash_recovery_is_stable() {
             .crash_at_tick(47)
             .with_damage(StorageFault::TornWrite { drop_bytes: 5 }),
     );
-    let outcome = run_soak_durable(&config).unwrap();
+    let outcome = run_soak_durable_observed(&config, &Obs::disabled()).unwrap();
     let first = resume_soak_durable(&outcome.wal).unwrap();
     assert_eq!(first.recovery.len(), 1);
     assert_eq!(first.report.digest(), baseline.digest());

@@ -39,7 +39,7 @@ fn utrp_rollup_attributes_every_slot_and_probe() {
     let obs = Obs::new();
     for _ in 0..12 {
         session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .expect("tick runs");
     }
     let rollup = obs.span_rollup();
@@ -79,7 +79,7 @@ fn trp_rollup_attributes_every_slot() {
     let obs = Obs::new();
     for _ in 0..8 {
         session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .expect("tick runs");
     }
     let rollup = obs.span_rollup();

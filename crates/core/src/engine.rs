@@ -38,10 +38,10 @@
 //! a thread-pool dependency: [`batched_min_scan`] — the two-pass
 //! blocked kernel of [`ScanJob::scan_range_batched`] — is the default,
 //! [`sequential_min_scan`] is the element-at-a-time reference, and
-//! `tagwatch-analytics` provides chunked parallel scanners plus a
-//! persistent-pool `PooledEngine` over the same job (deterministic
-//! merge: global minimum slot first, then chunks in index order —
-//! member lists come out identical to the sequential scan's, so
+//! `tagwatch-analytics` scans shards of the active set with the same
+//! kernels on its persistent-pool `PooledEngine` (deterministic merge:
+//! the global minimum over shard minima, won by the members of every
+//! shard at that minimum — the same tags the sequential scan finds, so
 //! results are scanner-independent by construction; the differential
 //! tests pin it).
 //!
@@ -809,14 +809,13 @@ impl RoundScratch {
         self.run_with(f, nonces, batched_min_scan)
     }
 
-    /// [`RoundScratch::run`] with an injected scanner (e.g. the chunked
-    /// parallel min-reduction in `tagwatch-analytics`).
+    /// [`RoundScratch::run`] with an injected scanner.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NonceSequenceExhausted`] if `nonces` is
     /// shorter than the frame.
-    pub fn run_with<S>(
+    pub(crate) fn run_with<S>(
         &mut self,
         f: FrameSize,
         nonces: &NonceSequence,
@@ -876,10 +875,10 @@ impl RoundScratch {
         Ok(announcements)
     }
 
-    /// [`RoundScratch::run_with`], invoking `on_reply(global_slot,
-    /// orig_indices)` for every occupied slot, with the replying tags'
-    /// original load indices in ascending order — the engine behind
-    /// slot attribution.
+    /// [`RoundScratch::run`] with an injected scanner, invoking
+    /// `on_reply(global_slot, orig_indices)` for every occupied slot,
+    /// with the replying tags' original load indices in ascending
+    /// order — the engine behind slot attribution.
     ///
     /// # Errors
     ///

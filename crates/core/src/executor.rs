@@ -27,13 +27,11 @@ use tagwatch_sim::tag::TagReply;
 use tagwatch_sim::{Channel, FaultPlan, TagPopulation, TimingModel};
 
 use crate::bitstring::Bitstring;
-use crate::engine::{RoundEngine, RoundScratch};
+use crate::engine::RoundEngine;
 use crate::error::CoreError;
 use crate::faulty::run_honest_reader_with;
 use crate::trp::{observed_bitstring, TrpChallenge};
-use crate::utrp::{
-    run_honest_reader_scratch, run_honest_reader_scratch_observed, UtrpChallenge, UtrpResponse,
-};
+use crate::utrp::{run_honest_reader_scratch, UtrpChallenge, UtrpResponse};
 
 /// One configured way of executing protocol rounds: a radio channel and
 /// an optional scripted fault plan.
@@ -94,6 +92,10 @@ impl RoundExecutor {
     /// bitstring is the only shape-level fault (the server rejects it
     /// as [`CoreError::ResponseShapeMismatch`]).
     ///
+    /// An enabled `obs` records round, slot-outcome and frame-size
+    /// metrics and a round-completed flight event; the bitstring is
+    /// identical either way.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParams`] for an invalid fault plan.
@@ -102,15 +104,50 @@ impl RoundExecutor {
         floor: &TagPopulation,
         challenge: &TrpChallenge,
         rng: &mut R,
+        obs: &Obs,
     ) -> Result<Bitstring, CoreError> {
         let audible: Vec<tagwatch_sim::TagId> = floor
             .iter()
             .filter(|t| !t.is_detuned())
             .map(|t| t.id())
             .collect();
-        if self.is_faultless() {
-            return Ok(observed_bitstring(&audible, challenge));
+        let bs = if self.is_faultless() {
+            observed_bitstring(&audible, challenge)
+        } else {
+            self.run_trp_faulty(&audible, challenge, rng)?
+        };
+        if obs.enabled() {
+            let frame = bs.len() as u64;
+            let occupied = bs.count_ones() as u64;
+            obs.inc(obs.m.rounds_total);
+            obs.inc(obs.m.rounds_trp);
+            obs.add(obs.m.slots_total, frame);
+            obs.add(obs.m.slots_occupied, occupied);
+            obs.set_gauge(obs.m.last_frame_size, frame);
+            obs.observe(obs.m.frame_size, frame as f64);
+            // One framed announcement, then the reader walks every
+            // slot: the whole frame is min-scan cost on the cost
+            // clock. TRP never touches the probe engine.
+            obs.span_phase(tagwatch_obs::Phase::SubFrameSetup, 0, 0);
+            obs.span_phase(tagwatch_obs::Phase::MinScan, frame, 0);
+            obs.emit(ObsEvent::RoundCompleted {
+                proto: ProtoKind::Trp,
+                frame,
+                occupied,
+                reseeds: 0,
+                elapsed_us: 0,
+            });
         }
+        Ok(bs)
+    }
+
+    /// The fault-aware TRP round behind [`RoundExecutor::run_trp`].
+    fn run_trp_faulty<R: Rng + ?Sized>(
+        &self,
+        audible: &[tagwatch_sim::TagId],
+        challenge: &TrpChallenge,
+        rng: &mut R,
+    ) -> Result<Bitstring, CoreError> {
         let empty = FaultPlan::new();
         let plan = self.plan.as_ref().unwrap_or(&empty);
         plan.validate().map_err(|e| CoreError::InvalidParams {
@@ -123,7 +160,7 @@ impl RoundExecutor {
         // Slot -> transmissions. TRP broadcasts exactly one announcement
         // (index 0); a tag that misses it stays silent for the round.
         let mut slots: Vec<Vec<TagReply>> = vec![Vec::new(); f.as_usize()];
-        for &id in &audible {
+        for &id in audible {
             if plan.misses_announcement(0, id) {
                 continue;
             }
@@ -159,40 +196,27 @@ impl RoundExecutor {
         })
     }
 
-    /// Runs one honest-reader UTRP round over `floor`, advancing each
-    /// tag's counter by the announcements it actually heard.
+    /// Runs one honest-reader UTRP round over `floor` through a
+    /// caller-owned [`RoundEngine`] (a
+    /// [`RoundScratch`](crate::engine::RoundScratch) or the pooled
+    /// sharded engine), advancing each tag's counter by the
+    /// announcements it actually heard. Long-running drivers (sessions,
+    /// soak loops) reuse the engine's buffers tick after tick.
     ///
     /// Faultless: delegates to
-    /// [`run_honest_reader`](crate::utrp::run_honest_reader)
-    /// (byte-identical, no RNG consumption); otherwise to
-    /// [`run_honest_reader_with`].
+    /// [`run_honest_reader_scratch`] (byte-identical to
+    /// [`run_honest_reader`](crate::utrp::run_honest_reader), no RNG
+    /// consumption, identical at any thread count); otherwise to
+    /// [`run_honest_reader_with`] — scripted-fault rounds are cold and
+    /// keep their own state.
+    ///
+    /// This is [`RoundExecutor::run_utrp_scratch_observed`] with no
+    /// observer.
     ///
     /// # Errors
     ///
     /// Propagates executor errors (exhausted nonce sequence, invalid
     /// plan scalars).
-    pub fn run_utrp<R: Rng + ?Sized>(
-        &self,
-        floor: &mut TagPopulation,
-        challenge: &UtrpChallenge,
-        timing: &TimingModel,
-        rng: &mut R,
-    ) -> Result<UtrpResponse, CoreError> {
-        let mut scratch = RoundScratch::new();
-        self.run_utrp_scratch(floor, challenge, timing, rng, &mut scratch)
-    }
-
-    /// [`RoundExecutor::run_utrp`] through a caller-owned
-    /// [`RoundEngine`] (a [`RoundScratch`] or the pooled sharded
-    /// engine), so long-running drivers (sessions, soak loops) reuse
-    /// the round buffers tick after tick instead of reallocating.
-    /// Identical semantics at any thread count; the engine only serves
-    /// the faultless fast path — scripted-fault rounds are cold and
-    /// keep their own state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoundExecutor::run_utrp`].
     pub fn run_utrp_scratch<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         floor: &mut TagPopulation,
@@ -201,63 +225,17 @@ impl RoundExecutor {
         rng: &mut R,
         scratch: &mut E,
     ) -> Result<UtrpResponse, CoreError> {
-        if self.is_faultless() {
-            return run_honest_reader_scratch(floor, challenge, timing, scratch);
-        }
-        let empty = FaultPlan::new();
-        let plan = self.plan.as_ref().unwrap_or(&empty);
-        run_honest_reader_with(floor, challenge, timing, &self.channel, plan, rng)
+        self.run_utrp_scratch_observed(floor, challenge, timing, rng, scratch, &Obs::disabled())
     }
 
-    /// [`RoundExecutor::run_trp`] with telemetry: records round,
-    /// slot-outcome and frame-size metrics and emits a
-    /// round-completed flight event. With a disabled `obs` this is
-    /// exactly `run_trp` plus one untaken branch; the round result is
-    /// identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoundExecutor::run_trp`].
-    pub fn run_trp_observed<R: Rng + ?Sized>(
-        &self,
-        floor: &TagPopulation,
-        challenge: &TrpChallenge,
-        rng: &mut R,
-        obs: &Obs,
-    ) -> Result<Bitstring, CoreError> {
-        let bs = self.run_trp(floor, challenge, rng)?;
-        if obs.enabled() {
-            let frame = bs.len() as u64;
-            let occupied = bs.count_ones() as u64;
-            obs.inc(obs.m.rounds_total);
-            obs.inc(obs.m.rounds_trp);
-            obs.add(obs.m.slots_total, frame);
-            obs.add(obs.m.slots_occupied, occupied);
-            obs.set_gauge(obs.m.last_frame_size, frame);
-            obs.observe(obs.m.frame_size, frame as f64);
-            // One framed announcement, then the reader walks every
-            // slot: the whole frame is min-scan cost on the cost
-            // clock. TRP never touches the probe engine.
-            obs.span_phase(tagwatch_obs::Phase::SubFrameSetup, 0, 0);
-            obs.span_phase(tagwatch_obs::Phase::MinScan, frame, 0);
-            obs.emit(ObsEvent::RoundCompleted {
-                proto: ProtoKind::Trp,
-                frame,
-                occupied,
-                reseeds: 0,
-                elapsed_us: 0,
-            });
-        }
-        Ok(bs)
-    }
-
-    /// [`RoundExecutor::run_utrp_scratch`] with telemetry: records
-    /// round, slot-outcome, re-seed, frame-size and elapsed-time
-    /// metrics (plus probe/candidate-filter totals on the faultless
-    /// fast path, which runs through the counting scanner) and emits a
-    /// round-completed flight event. The round result is bit-identical
-    /// to the uninstrumented path, and with a disabled `obs` this is
-    /// exactly `run_utrp_scratch` plus one untaken branch.
+    /// [`RoundExecutor::run_utrp_scratch`] with telemetry: an enabled
+    /// `obs` records round, slot-outcome, re-seed, frame-size and
+    /// elapsed-time metrics (plus probe/candidate-filter totals on the
+    /// faultless fast path, which runs through
+    /// [`RoundEngine::run_observed`]) and emits a round-completed
+    /// flight event. A disabled `obs` runs the engine's plain
+    /// [`RoundEngine::run`]. The round result is bit-identical either
+    /// way.
     ///
     /// # Errors
     ///
@@ -271,10 +249,12 @@ impl RoundExecutor {
         scratch: &mut E,
         obs: &Obs,
     ) -> Result<UtrpResponse, CoreError> {
-        let response = if self.is_faultless() && obs.enabled() {
-            run_honest_reader_scratch_observed(floor, challenge, timing, scratch, obs)?
+        let response = if self.is_faultless() {
+            run_honest_reader_scratch(floor, challenge, timing, scratch, obs)?
         } else {
-            self.run_utrp_scratch(floor, challenge, timing, rng, scratch)?
+            let empty = FaultPlan::new();
+            let plan = self.plan.as_ref().unwrap_or(&empty);
+            run_honest_reader_with(floor, challenge, timing, &self.channel, plan, rng)?
         };
         if obs.enabled() {
             let frame = response.bitstring.len() as u64;
@@ -306,6 +286,7 @@ impl RoundExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RoundScratch;
     use crate::utrp::run_honest_reader;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -340,7 +321,7 @@ mod tests {
             let legacy = observed_bitstring(&audible, &ch);
             let mut rng = StdRng::seed_from_u64(123);
             let unified = RoundExecutor::ideal()
-                .run_trp(&floor, &ch, &mut rng)
+                .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
                 .unwrap();
             assert_eq!(legacy, unified, "f={f} r={r}");
             let mut fresh = StdRng::seed_from_u64(123);
@@ -365,7 +346,13 @@ mod tests {
         let legacy = run_honest_reader(&mut legacy_floor, &ch, &timing).unwrap();
         let mut rng = StdRng::seed_from_u64(77);
         let unified = RoundExecutor::ideal()
-            .run_utrp(&mut unified_floor, &ch, &timing, &mut rng)
+            .run_utrp_scratch(
+                &mut unified_floor,
+                &ch,
+                &timing,
+                &mut rng,
+                &mut RoundScratch::new(),
+            )
             .unwrap();
         assert_eq!(legacy, unified);
         for (a, b) in legacy_floor.iter().zip(unified_floor.iter()) {
@@ -405,7 +392,13 @@ mod tests {
         let mut exec_floor = TagPopulation::with_sequential_ids(40);
         let mut rng_exec = StdRng::seed_from_u64(5);
         let exec = RoundExecutor::new(channel, Some(plan))
-            .run_utrp(&mut exec_floor, &ch, &timing, &mut rng_exec)
+            .run_utrp_scratch(
+                &mut exec_floor,
+                &ch,
+                &timing,
+                &mut rng_exec,
+                &mut RoundScratch::new(),
+            )
             .unwrap();
 
         assert_eq!(direct, exec);
@@ -420,7 +413,7 @@ mod tests {
         let ch = trp_challenge(100, 11);
         let mut rng = StdRng::seed_from_u64(1);
         let clean = RoundExecutor::ideal()
-            .run_trp(&floor, &ch, &mut rng)
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
             .unwrap();
         let first = clean.iter_ones().next().unwrap() as u64;
 
@@ -429,7 +422,9 @@ mod tests {
             Channel::ideal(),
             Some(FaultPlan::new().lose_replies_at(first)),
         );
-        let out = lossy.run_trp(&floor, &ch, &mut rng).unwrap();
+        let out = lossy
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
+            .unwrap();
         assert!(!out.get(first as usize).unwrap());
         assert_eq!(out.count_ones(), clean.count_ones() - 1);
 
@@ -438,7 +433,9 @@ mod tests {
             Channel::ideal(),
             Some(FaultPlan::new().crash_after_slot(10)),
         );
-        let out = crashed.run_trp(&floor, &ch, &mut rng).unwrap();
+        let out = crashed
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
+            .unwrap();
         assert_eq!(out.len(), 100);
         for i in 11..100 {
             assert!(!out.get(i).unwrap(), "bit {i} survived the crash");
@@ -449,7 +446,9 @@ mod tests {
             Channel::ideal(),
             Some(FaultPlan::new().truncate_response(13)),
         );
-        let out = truncated.run_trp(&floor, &ch, &mut rng).unwrap();
+        let out = truncated
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
+            .unwrap();
         assert_eq!(out.len(), 13);
     }
 
@@ -460,13 +459,15 @@ mod tests {
         let victim = floor.ids()[0];
         let mut rng = StdRng::seed_from_u64(0);
         let clean = RoundExecutor::ideal()
-            .run_trp(&floor, &ch, &mut rng)
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
             .unwrap();
         let deaf = RoundExecutor::new(
             Channel::ideal(),
             Some(FaultPlan::new().lose_announcement(0, [victim])),
         );
-        let out = deaf.run_trp(&floor, &ch, &mut rng).unwrap();
+        let out = deaf
+            .run_trp(&floor, &ch, &mut rng, &Obs::disabled())
+            .unwrap();
         // The victim's slot may be shared, so the count drops by 0 or 1
         // but never grows — and the victim alone cannot occupy its slot.
         assert!(out.count_ones() <= clean.count_ones());

@@ -40,6 +40,23 @@ pub trait Protocol {
     /// Which protocol this is.
     fn kind(&self) -> ProtocolKind;
 
+    /// Runs one full round with no observer:
+    /// [`Protocol::run_round_observed`] under [`Obs::disabled`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Protocol::run_round_observed`].
+    fn run_round<E: RoundEngine, R: Rng + ?Sized>(
+        &self,
+        server: &mut MonitorServer,
+        floor: &mut TagPopulation,
+        executor: &RoundExecutor,
+        scratch: &mut E,
+        rng: &mut R,
+    ) -> Result<MonitorReport, CoreError> {
+        self.run_round_observed(server, floor, executor, scratch, rng, &Obs::disabled())
+    }
+
     /// Runs one full round: issue a challenge from `server`, execute it
     /// over `floor` through `executor`, verify, and return the report.
     ///
@@ -53,31 +70,18 @@ pub trait Protocol {
     /// byte-identical rounds. TRP rounds carry no re-seed state and
     /// leave it untouched.
     ///
+    /// An enabled `obs` records the field round through the executor
+    /// and the verification outcome (verdict counters, hamming-distance
+    /// histogram, a `verified` flight event, and an automatic flight
+    /// dump on a [`Verdict::Desynced`] outcome). The report and the RNG
+    /// stream are identical with any `obs`; a disabled one adds a
+    /// handful of untaken branches.
+    ///
     /// # Errors
     ///
     /// Propagates protocol errors other than the response-shape mapping
     /// described in the module docs (e.g. [`CoreError::CounterDesync`]
     /// when issuing a UTRP challenge over an untrusted mirror).
-    fn run_round<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        scratch: &mut E,
-        rng: &mut R,
-    ) -> Result<MonitorReport, CoreError>;
-
-    /// [`Protocol::run_round`] with telemetry: the field round runs
-    /// through the executor's observed variant and the verification
-    /// outcome is recorded (verdict counters, hamming-distance
-    /// histogram, a `verified` flight event, and an automatic flight
-    /// dump on a [`Verdict::Desynced`] outcome). The report is
-    /// identical to the uninstrumented round's; with a disabled `obs`
-    /// the added cost is a handful of untaken branches.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Protocol::run_round`].
     fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         server: &mut MonitorServer,
@@ -147,20 +151,6 @@ impl Protocol for Trp {
         ProtocolKind::Trp
     }
 
-    fn run_round<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        _scratch: &mut E,
-        rng: &mut R,
-    ) -> Result<MonitorReport, CoreError> {
-        let challenge = server.issue_trp_challenge(rng)?;
-        let f = challenge.frame_size().get();
-        let bs = executor.run_trp(floor, &challenge, rng)?;
-        alarm_on_shape_mismatch(server.verify_trp(challenge, &bs), ProtocolKind::Trp, f)
-    }
-
     fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         server: &mut MonitorServer,
@@ -176,7 +166,7 @@ impl Protocol for Trp {
         let result = (|| {
             let challenge = server.issue_trp_challenge(rng)?;
             let f = challenge.frame_size().get();
-            let bs = executor.run_trp_observed(floor, &challenge, rng, obs)?;
+            let bs = executor.run_trp(floor, &challenge, rng, obs)?;
             let report =
                 alarm_on_shape_mismatch(server.verify_trp(challenge, &bs), ProtocolKind::Trp, f)?;
             record_report(obs, &report);
@@ -196,25 +186,6 @@ pub struct Utrp;
 impl Protocol for Utrp {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Utrp
-    }
-
-    fn run_round<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        scratch: &mut E,
-        rng: &mut R,
-    ) -> Result<MonitorReport, CoreError> {
-        let timing = server.config().timing;
-        let challenge = server.issue_utrp_challenge(rng)?;
-        let f = challenge.frame_size().get();
-        let response = executor.run_utrp_scratch(floor, &challenge, &timing, rng, scratch)?;
-        alarm_on_shape_mismatch(
-            server.verify_utrp_with(challenge, &response, scratch),
-            ProtocolKind::Utrp,
-            f,
-        )
     }
 
     fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
@@ -249,10 +220,54 @@ impl Protocol for Utrp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstring::Bitstring;
     use crate::engine::RoundScratch;
+    use crate::nonce::NonceSequence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tagwatch_sim::{Channel, FaultPlan};
+    use tagwatch_sim::{Channel, Counter, FaultPlan, FrameSize, TagId};
+
+    /// A [`RoundScratch`] that counts which entry point each round
+    /// came in through.
+    #[derive(Default)]
+    struct Counting {
+        inner: RoundScratch,
+        runs: u32,
+        observed_runs: u32,
+    }
+
+    impl RoundEngine for Counting {
+        fn load<I: IntoIterator<Item = (TagId, Counter, bool)>>(&mut self, parts: I) {
+            self.inner.load(parts);
+        }
+
+        fn run(&mut self, f: FrameSize, nonces: &NonceSequence) -> Result<u64, CoreError> {
+            self.runs += 1;
+            self.inner.run(f, nonces)
+        }
+
+        fn run_observed(
+            &mut self,
+            f: FrameSize,
+            nonces: &NonceSequence,
+            obs: &Obs,
+        ) -> Result<u64, CoreError> {
+            self.observed_runs += 1;
+            self.inner.run_observed(f, nonces, obs)
+        }
+
+        fn bitstring(&self) -> &Bitstring {
+            self.inner.bitstring()
+        }
+
+        fn take_bitstring(&mut self) -> Bitstring {
+            self.inner.take_bitstring()
+        }
+
+        fn announcements(&self) -> u64 {
+            self.inner.announcements()
+        }
+    }
 
     fn setup(n: usize, m: u64) -> (MonitorServer, TagPopulation) {
         let floor = TagPopulation::with_sequential_ids(n);
@@ -290,6 +305,43 @@ mod tests {
             .unwrap();
         assert_eq!(manual, generic);
         assert!(generic.verdict.is_intact());
+    }
+
+    #[test]
+    fn observer_routing_picks_the_engine_entry_point() {
+        // A disabled observer keeps the field round and the mirror on
+        // the engine's plain `run`; an enabled one routes only the
+        // field round through `run_observed`.
+        let round = |obs: Option<&Obs>| {
+            let (mut server, mut floor) = setup(90, 3);
+            let mut rng = StdRng::seed_from_u64(12);
+            let mut engine = Counting::default();
+            let exec = RoundExecutor::ideal();
+            let report = match obs {
+                None => Utrp.run_round(&mut server, &mut floor, &exec, &mut engine, &mut rng),
+                Some(obs) => Utrp.run_round_observed(
+                    &mut server,
+                    &mut floor,
+                    &exec,
+                    &mut engine,
+                    &mut rng,
+                    obs,
+                ),
+            }
+            .unwrap();
+            (
+                report,
+                rng.gen::<u64>(),
+                (engine.runs, engine.observed_runs),
+            )
+        };
+        let (plain, plain_rng, plain_calls) = round(None);
+        assert!(plain.verdict.is_intact());
+        assert_eq!(plain_calls, (2, 0));
+        let (report, next, calls) = round(Some(&Obs::disabled()));
+        assert_eq!((report, next, calls), (plain.clone(), plain_rng, (2, 0)));
+        let (report, next, calls) = round(Some(&Obs::new()));
+        assert_eq!((report, next, calls), (plain, plain_rng, (1, 1)));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use rand::Rng;
 
+use tagwatch_obs::Obs;
 use tagwatch_sim::hash::slot_for_counted;
 use tagwatch_sim::{Counter, FrameSize, Nonce, SimDuration, TagId, TagPopulation, TimingModel};
 
@@ -416,7 +417,13 @@ pub fn run_honest_reader(
     timing: &TimingModel,
 ) -> Result<UtrpResponse, CoreError> {
     let mut scratch = RoundScratch::new();
-    run_honest_reader_scratch(population, challenge, timing, &mut scratch)
+    run_honest_reader_scratch(
+        population,
+        challenge,
+        timing,
+        &mut scratch,
+        &Obs::disabled(),
+    )
 }
 
 /// [`run_honest_reader`] through a caller-owned [`RoundEngine`]: the
@@ -424,6 +431,11 @@ pub fn run_honest_reader(
 /// intermediate participant `Vec`), and the only per-round allocation
 /// left is the response bitstring itself — the owned artifact handed
 /// to the server.
+///
+/// With `obs` enabled the round runs through
+/// [`RoundEngine::run_observed`], so probe and candidate-filter totals
+/// land in the registry; a disabled `obs` runs [`RoundEngine::run`].
+/// The round result is bit-identical either way.
 ///
 /// # Errors
 ///
@@ -433,41 +445,15 @@ pub fn run_honest_reader_scratch<E: RoundEngine>(
     challenge: &UtrpChallenge,
     timing: &TimingModel,
     scratch: &mut E,
+    obs: &Obs,
 ) -> Result<UtrpResponse, CoreError> {
     scratch.load_population(population);
-    let announcements = scratch.run(challenge.frame_size(), challenge.nonces())?;
-    for tag in population.iter_mut() {
-        tag.advance_counter(announcements);
-    }
-    let bitstring = scratch.bitstring().clone();
-    let slots = bitstring.len() as u64;
-    let occupied = bitstring.count_ones() as u64;
-    let elapsed = round_duration_parts(timing, slots, occupied, announcements);
-    Ok(UtrpResponse {
-        bitstring,
-        elapsed,
-        announcements,
-    })
-}
-
-/// [`run_honest_reader_scratch`] with telemetry: when `obs` is enabled
-/// the round runs through the counting scanner, so probe and
-/// candidate-filter totals land in the registry. The round result is
-/// bit-identical to the uninstrumented path either way (the counting
-/// scanner shares the plain scan's monomorphized selection loop).
-///
-/// # Errors
-///
-/// Propagates round-simulation errors.
-pub fn run_honest_reader_scratch_observed<E: RoundEngine>(
-    population: &mut TagPopulation,
-    challenge: &UtrpChallenge,
-    timing: &TimingModel,
-    scratch: &mut E,
-    obs: &tagwatch_obs::Obs,
-) -> Result<UtrpResponse, CoreError> {
-    scratch.load_population(population);
-    let announcements = scratch.run_observed(challenge.frame_size(), challenge.nonces(), obs)?;
+    let (f, nonces) = (challenge.frame_size(), challenge.nonces());
+    let announcements = if obs.enabled() {
+        scratch.run_observed(f, nonces, obs)?
+    } else {
+        scratch.run(f, nonces)?
+    };
     for tag in population.iter_mut() {
         tag.advance_counter(announcements);
     }

@@ -145,18 +145,6 @@ pub enum ObsEvent {
         /// Window length in ticks.
         window: u64,
     },
-    /// A pooled round engine ran one round on its scalar path because
-    /// the active set was below the pool's dispatch threshold (or the
-    /// pool was configured single-threaded). Emitted only by the
-    /// multi-thread pooled engine in `tagwatch-analytics` — never on
-    /// the default scalar path — so default telemetry streams and
-    /// their golden digests are unchanged.
-    ScalarFallback {
-        /// Active (non-mute) tags in the round.
-        actives: u64,
-        /// The pool's dispatch threshold.
-        threshold: u64,
-    },
     /// Durable-state recovery excised a damaged WAL tail (the
     /// attributable trace of a crash or corruption — a recovered run
     /// is never silently presented as an uninterrupted one).
@@ -241,10 +229,6 @@ impl ObsEvent {
             } => write!(
                 out,
                 "{{\"seq\":{seq},\"type\":\"policy_alert\",\"tick\":{tick},\"audits\":{audits},\"budget\":{budget},\"window\":{window}}}"
-            ),
-            ObsEvent::ScalarFallback { actives, threshold } => write!(
-                out,
-                "{{\"seq\":{seq},\"type\":\"scalar_fallback\",\"actives\":{actives},\"threshold\":{threshold}}}"
             ),
             ObsEvent::StoreRecovered {
                 kind,
@@ -333,20 +317,6 @@ mod tests {
         assert_eq!(
             out,
             "{\"seq\":11,\"type\":\"policy_alert\",\"tick\":42,\"audits\":6,\"budget\":5,\"window\":100}"
-        );
-    }
-
-    #[test]
-    fn scalar_fallback_json_is_stable() {
-        let mut out = String::new();
-        ObsEvent::ScalarFallback {
-            actives: 60,
-            threshold: 8192,
-        }
-        .write_json(4, &mut out);
-        assert_eq!(
-            out,
-            "{\"seq\":4,\"type\":\"scalar_fallback\",\"actives\":60,\"threshold\":8192}"
         );
     }
 

@@ -7,9 +7,9 @@
 //! fixed-bin view with an ASCII rendering; [`percentile`] gives exact
 //! order statistics for tail reporting.
 //!
-//! This module moved here from `tagwatch-analytics` so the metrics
-//! registry can use the same type as the experiment reports
-//! (`analytics::histogram` re-exports it unchanged).
+//! The metrics registry and the experiment reports share this one
+//! type, so a histogram recorded by telemetry and one built by a
+//! report are interchangeable (and mergeable via [`Histogram::merge`]).
 
 use std::fmt;
 

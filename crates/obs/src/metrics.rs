@@ -21,7 +21,7 @@
 //! so one `Obs` can be threaded through executor, protocol, session
 //! and driver layers without fighting the borrow checker. `Obs` is
 //! deliberately not `Sync`: it belongs to one driver thread; parallel
-//! scan workers report through per-chunk aggregation instead.
+//! scan workers report through per-shard aggregation instead.
 
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;

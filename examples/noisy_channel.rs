@@ -18,8 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tagwatch::analytics::{percentile, Histogram, Table};
+use tagwatch::analytics::Table;
 use tagwatch::core::trp;
+use tagwatch::obs::histogram::{percentile, Histogram};
 use tagwatch::prelude::*;
 
 const N: usize = 400;

@@ -5,6 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tagwatch::core::trp;
 use tagwatch::core::utrp::run_honest_reader;
+use tagwatch::core::RoundScratch;
+use tagwatch::obs::Obs;
 use tagwatch::prelude::*;
 use tagwatch::sim::FaultPlan;
 
@@ -429,7 +431,13 @@ fn unified_executor_agrees_with_both_legacy_fault_engines() {
         let mut rng_c = StdRng::seed_from_u64(7000 + seed);
 
         let a = executor
-            .run_utrp(&mut floor_a, &challenge, &timing, &mut rng_a)
+            .run_utrp_scratch(
+                &mut floor_a,
+                &challenge,
+                &timing,
+                &mut rng_a,
+                &mut RoundScratch::new(),
+            )
             .unwrap();
         let b = run_honest_reader_with(
             &mut floor_b,
@@ -479,7 +487,13 @@ fn faultless_executor_is_byte_identical_to_fault_free_paths() {
         let executor = RoundExecutor::new(Channel::ideal(), Some(FaultPlan::new()));
         let mut unused_rng = StdRng::seed_from_u64(0);
         let via_executor = executor
-            .run_utrp(&mut floor_a, &challenge, &timing, &mut unused_rng)
+            .run_utrp_scratch(
+                &mut floor_a,
+                &challenge,
+                &timing,
+                &mut unused_rng,
+                &mut RoundScratch::new(),
+            )
             .unwrap();
         let direct = run_honest_reader(&mut floor_b, &challenge, &timing).unwrap();
         assert_eq!(via_executor, direct, "seed {seed}");
@@ -487,7 +501,7 @@ fn faultless_executor_is_byte_identical_to_fault_free_paths() {
         // TRP: same story against observed_bitstring.
         let trp_ch = TrpChallenge::generate(f, &mut rng);
         let via_trp = executor
-            .run_trp(&floor_a, &trp_ch, &mut unused_rng)
+            .run_trp(&floor_a, &trp_ch, &mut unused_rng, &Obs::disabled())
             .unwrap();
         assert_eq!(
             via_trp,

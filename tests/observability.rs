@@ -1,18 +1,18 @@
 //! Integration tests for the observability subsystem's export
 //! discipline: same seed and plan must yield byte-identical JSONL
 //! event traces and metrics snapshots at every layer — the observed
-//! protocol rounds, the chunked parallel scanner, and the soak driver
-//! (including its automatic flight dump on an invariant violation).
+//! protocol rounds, the pooled round engine at every shard count, and
+//! the soak driver (including its automatic flight dump on an invariant
+//! violation).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tagwatch::analytics::scan::run_round_chunked_observed;
-use tagwatch::analytics::soak::{run_soak_observed, SoakConfig};
+use tagwatch::analytics::soak::{run_soak_observed_threads, SoakConfig};
 use tagwatch::analytics::{worker_threads, PooledEngine, TickProtocol};
 use tagwatch::core::utrp::{UtrpChallenge, UtrpParticipant};
 use tagwatch::core::{
-    MonitorServer, Protocol, RoundEngine, RoundExecutor, RoundScratch, Trp, Utrp,
+    Bitstring, MonitorServer, Protocol, RoundEngine, RoundExecutor, RoundScratch, Trp, Utrp,
 };
 use tagwatch::obs::Obs;
 use tagwatch::sim::{Channel, Counter, FrameSize, TagId, TagPopulation, TimingModel};
@@ -93,10 +93,9 @@ fn counter_line(snapshot: &str, key: &str) -> String {
 /// including UTRP's mid-round retirements) byte for byte, and the
 /// probe total exactly. `probes_filtered` is the one deliberate
 /// exception: the candidate-filter warm-up is per-shard, so its count
-/// is strategy-dependent (the same contract
-/// `chunked_min_scan_counting` documents for chunking) — full
-/// snapshot byte-equality is therefore only owed at one thread,
-/// where the pooled engine *is* the scalar engine.
+/// is strategy-dependent — full snapshot byte-equality is therefore
+/// only owed at one thread, where the pooled engine *is* the scalar
+/// engine.
 #[test]
 fn pooled_exports_are_thread_invariant_for_trp_and_utrp() {
     let thread_counts = [1, 2, 3, worker_threads()];
@@ -135,11 +134,34 @@ fn different_seeds_produce_different_digests() {
     assert_ne!(digest_a, digest_b, "the digest must track the content");
 }
 
-/// The chunked parallel scanner: per-configuration exports are
-/// byte-stable, and the probe totals (unlike the per-chunk filter
-/// warm-up counts) are invariant in the chunk size.
+/// One observed round of `load` through `engine`: announcements,
+/// bitstring, probe total, and the metrics snapshot.
+fn observed_round<E: RoundEngine>(
+    engine: &mut E,
+    load: &[UtrpParticipant],
+    ch: &UtrpChallenge,
+) -> (u64, Bitstring, u64, String) {
+    let obs = Obs::new();
+    engine.load_participants(load);
+    let announcements = engine
+        .run_observed(ch.frame_size(), ch.nonces(), &obs)
+        .expect("round runs");
+    (
+        announcements,
+        engine.bitstring().clone(),
+        obs.counter(obs.m.probes_total),
+        obs.snapshot_json(),
+    )
+}
+
+/// The pooled engine forced through its workers at awkward shard
+/// counts: per-configuration exports are byte-stable, and the
+/// announcements, bitstring and probe total (unlike the per-shard
+/// filter warm-up counts) equal the scalar engine's — including a
+/// 5-tag load over 7 shards (one-tag and empty shards) and an empty
+/// load.
 #[test]
-fn chunked_scanner_exports_are_deterministic_at_every_chunk_size() {
+fn pooled_exports_are_deterministic_at_every_shard_count() {
     let frame = FrameSize::new(96).expect("positive frame");
     let mut rng = StdRng::seed_from_u64(41);
     let ch = UtrpChallenge::generate(frame, &TimingModel::gen2(), &mut rng);
@@ -147,37 +169,35 @@ fn chunked_scanner_exports_are_deterministic_at_every_chunk_size() {
         .map(|i| UtrpParticipant::new(TagId::from(i), Counter::new(i % 3)))
         .collect();
 
-    let run = |chunk_len: usize| {
-        let obs = Obs::new();
-        let mut scratch = RoundScratch::new();
-        scratch.load_participants(&population);
-        let announcements =
-            run_round_chunked_observed(&mut scratch, frame, ch.nonces(), chunk_len, &obs)
-                .expect("round runs");
-        (
-            announcements,
-            scratch.bitstring().clone(),
-            obs.counter(obs.m.probes_total),
-            obs.snapshot_json(),
-        )
-    };
-
-    let baseline = run(64);
-    assert!(baseline.2 > 0, "counting scan must record probes");
-    for chunk_len in [1usize, 16, 64, 512] {
-        let (ann_a, bs_a, probes_a, snap_a) = run(chunk_len);
-        let (ann_b, bs_b, probes_b, snap_b) = run(chunk_len);
+    let cases: [(&[UtrpParticipant], usize, usize); 5] = [
+        (&population, 2, 1),
+        (&population, 3, 1),
+        (&population, 7, 1),
+        (&population[..5], 7, 1),
+        (&[], 7, 0),
+    ];
+    for (load, threads, threshold) in cases {
+        let label = format!("n={} t={threads}", load.len());
+        let want = observed_round(&mut RoundScratch::new(), load, &ch);
+        assert_eq!(want.2 > 0, !load.is_empty(), "{label}: probes counted");
+        let mut engine = PooledEngine::with_threshold(threads, threshold);
+        let (ann_a, bs_a, probes_a, snap_a) = observed_round(&mut engine, load, &ch);
         assert_eq!(
-            snap_a, snap_b,
-            "chunk={chunk_len}: snapshot must be byte-stable"
+            (engine.threads(), engine.scalar_fallbacks()),
+            (threads, 0),
+            "{label}: the round must run on the workers"
         );
-        assert_eq!((&ann_a, &bs_a, probes_a), (&ann_b, &bs_b, probes_b));
+        let (_, _, _, snap_b) = observed_round(
+            &mut PooledEngine::with_threshold(threads, threshold),
+            load,
+            &ch,
+        );
+        assert_eq!(snap_a, snap_b, "{label}: snapshot must be byte-stable");
         assert_eq!(
-            ann_a, baseline.0,
-            "chunk={chunk_len}: announcements invariant"
+            (ann_a, bs_a, probes_a),
+            (want.0, want.1, want.2),
+            "{label}: announcements, bitstring and probes must match the scalar engine"
         );
-        assert_eq!(bs_a, baseline.1, "chunk={chunk_len}: bitstring invariant");
-        assert_eq!(probes_a, baseline.2, "chunk={chunk_len}: probes invariant");
     }
 }
 
@@ -202,7 +222,7 @@ fn soak_violation_flight_dump_is_byte_identical_across_runs() {
     };
     let run = || {
         let obs = Obs::new();
-        let report = run_soak_observed(&config, &obs).expect("soak runs to completion");
+        let report = run_soak_observed_threads(&config, &obs, 1).expect("soak runs to completion");
         (report, obs.snapshot_json())
     };
     let (report_a, snapshot_a) = run();

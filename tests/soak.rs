@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 
-use tagwatch::analytics::soak::{run_soak, SoakConfig};
+use tagwatch::analytics::soak::{run_soak_observed_threads, SoakConfig};
 use tagwatch::analytics::TickProtocol;
+use tagwatch::obs::Obs;
 
 fn base(seed: u64, ticks: u64, protocol: TickProtocol) -> SoakConfig {
     SoakConfig {
@@ -21,8 +22,8 @@ fn base(seed: u64, ticks: u64, protocol: TickProtocol) -> SoakConfig {
 #[test]
 fn same_seed_soak_is_byte_identical_including_json() {
     let config = base(11, 90, TickProtocol::Utrp);
-    let a = run_soak(&config).unwrap();
-    let b = run_soak(&config).unwrap();
+    let a = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
+    let b = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
     assert_eq!(a.log, b.log, "event logs must be byte-identical");
     assert_eq!(a.digest(), b.digest());
     assert_eq!(a.to_json(), b.to_json());
@@ -33,7 +34,8 @@ fn same_seed_soak_is_byte_identical_including_json() {
 #[test]
 fn soak_invariants_hold_for_both_protocols() {
     for protocol in [TickProtocol::Trp, TickProtocol::Utrp] {
-        let report = run_soak(&base(5, 100, protocol)).unwrap();
+        let report =
+            run_soak_observed_threads(&base(5, 100, protocol), &Obs::disabled(), 1).unwrap();
         assert!(
             report.is_clean(),
             "{protocol:?} violations: {:?}",
@@ -61,7 +63,8 @@ fn soak_invariants_hold_for_both_protocols() {
 
 #[test]
 fn log_lines_are_one_per_tick_and_stable_format() {
-    let report = run_soak(&base(2, 40, TickProtocol::Utrp)).unwrap();
+    let report =
+        run_soak_observed_threads(&base(2, 40, TickProtocol::Utrp), &Obs::disabled(), 1).unwrap();
     assert_eq!(report.log.len(), 40);
     for (i, line) in report.log.iter().enumerate() {
         assert!(
@@ -92,7 +95,7 @@ proptest! {
             theft_period,
             ..SoakConfig::default()
         };
-        let report = run_soak(&config).unwrap();
+        let report = run_soak_observed_threads(&config, &Obs::disabled(), 1).unwrap();
         prop_assert!(
             report.is_clean(),
             "violations for seed {}: {:?}",
