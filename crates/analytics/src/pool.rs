@@ -79,17 +79,16 @@ use tagwatch_sim::{Counter, FrameSize, TagId, TagPopulation};
 /// Active-set size below which a pooled round runs on the embedded
 /// scalar engine instead of dispatching to the workers.
 ///
-/// Derived from measurement on the perf harness (see
-/// `docs/PERFORMANCE.md`): one Scan dispatch round trip over parked
-/// workers costs ~5–15 µs (two channel hops per worker plus wake-up),
-/// while the batched scalar kernel probes ~1.2–1.9 ns/tag — so a scan
-/// must cover at least a few thousand tags per announcement before the
-/// pool can pay for its dispatch, and a comfortable margin on top of
-/// the break-even keeps the cliff well away from jitter. At 8192
-/// actives the first announcement alone is ~12 µs of probe work and a
-/// full round is ~n·ln(f) probes, safely above the dispatch cost; the
-/// soak default (n=60) and every golden-digest workload sit far below
-/// and always take the scalar path.
+/// Every announcement pays a dispatch round trip (two channel hops per
+/// worker plus a wake-up), so a scan must cover a few thousand tags
+/// before the pool can pay for it. The value was set on a one-core
+/// host, where the pool never ran, and is not re-derived yet: the
+/// repository benchmark's traced `fleet` run (n = 10⁴, above the
+/// threshold; `results/benchmark/fleet_traced.txt`) reads
+/// `pool.speedup` 0.36 at two threads on a 2-vCPU host, so there the
+/// pool engages and loses (see docs/PERFORMANCE.md). The soak default
+/// (n = 60) and every golden-digest workload sit far below and always
+/// take the scalar path.
 pub const POOL_THRESHOLD: usize = 8192;
 
 /// One staged participant, shipped to workers at load time. Folding
@@ -193,7 +192,7 @@ fn worker_loop(rx: &Receiver<Cmd>, tx: &Sender<Reply>) {
                 let min = if count {
                     job.scan_range_counting(0, job.len(), &mut st.members, &mut stats)
                 } else {
-                    job.scan_range_batched(0, job.len(), &mut st.members)
+                    job.scan_range(0, job.len(), &mut st.members)
                 };
                 st.last_min = min;
                 if tx.send(Reply { min, stats }).is_err() {

@@ -12,8 +12,9 @@ use tagwatch_analytics::soak::{run_soak_observed_threads, SoakConfig};
 use tagwatch_analytics::{MonitoringSession, Policy, TickProtocol};
 use tagwatch_core::executor::RoundExecutor;
 use tagwatch_core::server::MonitorServer;
+use tagwatch_core::{RoundScratch, UtrpChallenge};
 use tagwatch_obs::{to_prometheus_text, Obs, Phase};
-use tagwatch_sim::TagPopulation;
+use tagwatch_sim::{FrameSize, TagPopulation, TimingModel};
 
 fn session(n: usize, protocol: TickProtocol) -> (MonitoringSession, TagPopulation) {
     let floor = TagPopulation::with_sequential_ids(n);
@@ -67,6 +68,62 @@ fn utrp_rollup_attributes_every_slot_and_probe() {
         rollup.phase(Phase::MinScan).entries + rollup.phase(Phase::ReSeed).entries,
         "one sub-frame setup per announcement"
     );
+}
+
+/// The same identities at a dense frame (n ≫ f), where every round
+/// ends by occupying the frame's last slot rather than on a silent
+/// announcement, with uniform and with mixed counters. The rounds run
+/// through the executor, which is what charges `slots_total`.
+#[test]
+fn dense_frame_rollup_attributes_every_slot_and_probe() {
+    let f = FrameSize::new(256).expect("valid frame");
+    let timing = TimingModel::gen2();
+    let ideal = RoundExecutor::ideal();
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut scratch = RoundScratch::new();
+    for mixed in [false, true] {
+        let mut floor = TagPopulation::with_sequential_ids(4096);
+        if mixed {
+            for (i, tag) in floor.iter_mut().enumerate() {
+                tag.advance_counter(i as u64 % 5);
+            }
+        }
+        let obs = Obs::new();
+        for _ in 0..2 {
+            let challenge = UtrpChallenge::generate(f, &timing, &mut rng);
+            let response = ideal
+                .run_utrp_scratch_observed(
+                    &mut floor,
+                    &challenge,
+                    &timing,
+                    &mut rng,
+                    &mut scratch,
+                    &obs,
+                )
+                .expect("round runs");
+            let bits = &response.bitstring;
+            assert!(bits.get(bits.len() - 1).unwrap(), "mixed={mixed}");
+            assert_eq!(response.announcements, bits.count_ones() as u64);
+        }
+        let rollup = obs.span_rollup();
+        let (min_scan, re_seed) = (rollup.phase(Phase::MinScan), rollup.phase(Phase::ReSeed));
+        assert_eq!(obs.counter(obs.m.slots_total), 2 * f.get(), "mixed={mixed}");
+        assert_eq!(
+            min_scan.slots + re_seed.slots,
+            obs.counter(obs.m.slots_total),
+            "mixed={mixed}: min-scan + re-seed slots must telescope to slots_total"
+        );
+        assert_eq!(
+            min_scan.probes + re_seed.probes,
+            obs.counter(obs.m.probes_total),
+            "mixed={mixed}: phase probes must cover the engine's probe total"
+        );
+        assert_eq!(
+            rollup.phase(Phase::SubFrameSetup).entries,
+            min_scan.entries + re_seed.entries,
+            "mixed={mixed}: one sub-frame setup per announcement"
+        );
+    }
 }
 
 /// Same identity for the trusted-reader protocol: a TRP round is one

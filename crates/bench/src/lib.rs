@@ -1,7 +1,8 @@
 //! # tagwatch-bench
 //!
-//! Figure-regeneration binaries and Criterion benchmarks for the
-//! reproduction of Tan, Sheng & Li (ICDCS 2008).
+//! Figure-regeneration binaries for the reproduction of Tan, Sheng & Li
+//! (ICDCS 2008). Speed is measured by the repository benchmark in
+//! `benchmark/`, not here.
 //!
 //! ## Binaries
 //!
@@ -13,6 +14,7 @@
 //! cargo run --release -p tagwatch-bench --bin fig5   # TRP detection probability
 //! cargo run --release -p tagwatch-bench --bin fig6   # TRP vs UTRP frame sizes
 //! cargo run --release -p tagwatch-bench --bin fig7   # UTRP detection vs colluders
+//! cargo run --release -p tagwatch-bench --bin ablation  # safety pad, attacker budget
 //! ```
 //!
 //! Flags/environment:

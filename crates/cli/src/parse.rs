@@ -235,16 +235,94 @@ fn path_flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
         .transpose()
 }
 
+/// `(flag, takes a value)`: the flags one command reads.
+type Flags = &'static [(&'static str, bool)];
+
+const SIMULATE_TRP_FLAGS: Flags = &[("--trials", true), ("--seed", true)];
+const SIMULATE_UTRP_FLAGS: Flags = &[("--budget", true), ("--trials", true), ("--seed", true)];
+const IDENTIFY_FLAGS: Flags = &[("--steal", true), ("--seed", true)];
+const FAULTS_FLAGS: Flags = &[
+    ("--quick", false),
+    ("--trials", true),
+    ("--seed", true),
+    ("--metrics-out", true),
+    ("--prom-out", true),
+    ("--policy", true),
+];
+const SOAK_FLAGS: Flags = &[
+    ("--seed", true),
+    ("--ticks", true),
+    ("--protocol", true),
+    ("--report", true),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--prom-out", true),
+    ("--spans-out", true),
+    ("--spans-wall", false),
+    ("--wal-out", true),
+    ("--crash-at", true),
+    ("--policy", true),
+    ("--threads", true),
+];
+const RECOVER_FLAGS: Flags = &[("--report", true)];
+
+/// Rejects every `--…` argument in `args[from..]` that is not in
+/// `known`, and every flag given twice. The value after a flag that
+/// takes one is skipped, so a path may start with `--`.
+fn check_flags(args: &[String], from: usize, known: Flags) -> Result<(), CliError> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = args.iter().skip(from);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(&(name, takes_value)) = known.iter().find(|(name, _)| name == arg) else {
+            return Err(err(format!(
+                "unknown flag `{arg}` for `{}` (try `tagwatch-cli help`)",
+                args[0]
+            )));
+        };
+        if seen.contains(&name) {
+            return Err(err(format!("{name} given more than once")));
+        }
+        seen.push(name);
+        if takes_value {
+            rest.next();
+        }
+    }
+    Ok(())
+}
+
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a user-facing [`CliError`] for unknown commands or malformed
+/// Returns a user-facing [`CliError`] for unknown commands, for a flag
+/// the command does not read or a flag given twice, and for malformed
 /// values.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = args.first().map(String::as_str) else {
         return Ok(Command::Help);
     };
+    // Checked before any value is read: a mistyped flag must not fall
+    // back to a default and run (a default soak overwrites
+    // `results/soak_1.json`). Positional paths of `inspect` are
+    // skipped, since a path may start with `--`.
+    let sub = args.get(1).map(String::as_str);
+    let (from, known) = match (cmd, sub) {
+        ("simulate", Some("utrp")) => (1, SIMULATE_UTRP_FLAGS),
+        ("simulate", _) => (1, SIMULATE_TRP_FLAGS),
+        ("identify", _) => (1, IDENTIFY_FLAGS),
+        ("faults", _) => (1, FAULTS_FLAGS),
+        ("soak", _) => (1, SOAK_FLAGS),
+        ("recover", _) => (1, RECOVER_FLAGS),
+        ("inspect", Some("diff")) => (4, &[][..]),
+        ("inspect", _) => (2, &[][..]),
+        ("help" | "--help" | "-h" | "size" | "detection" | "registry", _) => (1, &[][..]),
+        // An unknown command is reported as such below.
+        _ => (args.len(), &[][..]),
+    };
+    check_flags(args, from, known)?;
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "size" => match args.get(1).map(String::as_str) {
@@ -699,6 +777,42 @@ mod tests {
         assert!(e.message.contains("--prom-out"));
         let e = parse(&argv("soak --spans-out")).unwrap_err();
         assert!(e.message.contains("--spans-out"));
+    }
+
+    #[test]
+    fn rejects_flags_the_command_does_not_read() {
+        // A typo must not fall back to the default seed and run.
+        for (line, flag) in [
+            ("soak --seeed 7", "--seeed"),
+            ("soak --bogus", "--bogus"),
+            ("soak --ticks 5 --help", "--help"),
+            ("faults --quick --ticks 5", "--ticks"),
+            ("simulate trp 300 5 --budget 30", "--budget"),
+            ("identify 200 --trials 9", "--trials"),
+            ("recover run.wal --seed 2", "--seed"),
+            ("inspect a.json --report out.json", "--report"),
+            ("inspect diff a b --quick", "--quick"),
+            ("size trp 1000 10 0.95 --seed 3", "--seed"),
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.message.contains(&format!("`{flag}`")), "{line}: {e}");
+        }
+        let e = parse(&argv("soak --ticks 5 --ticks 6")).unwrap_err();
+        assert!(e.message.contains("--ticks given more than once"), "{e}");
+        let e = parse(&argv("faults --quick --quick")).unwrap_err();
+        assert!(e.message.contains("--quick given more than once"), "{e}");
+        // A flag's value is not itself a flag, and a path argument of
+        // `inspect` may start with `--`; an unknown command stays one.
+        assert!(matches!(
+            parse(&argv("soak --report --odd-name.json")).unwrap(),
+            Command::Soak { report: Some(r), .. } if r == "--odd-name.json"
+        ));
+        assert!(matches!(
+            parse(&argv("inspect --odd-name.json")).unwrap(),
+            Command::Inspect { path } if path == "--odd-name.json"
+        ));
+        let e = parse(&argv("frobnicate --seed 1")).unwrap_err();
+        assert!(e.message.contains("unknown command"), "{e}");
     }
 
     #[test]

@@ -82,10 +82,7 @@ pub mod utrp;
 pub mod verdict;
 
 pub use bitstring::Bitstring;
-pub use engine::{
-    batched_min_scan, sequential_min_scan, RoundEngine, RoundScratch, ScanJob, ScanParams,
-    ScanStats, SubframeCursor, SCAN_BATCH,
-};
+pub use engine::{RoundEngine, RoundScratch, ScanJob, ScanParams, ScanStats, SubframeCursor};
 pub use error::CoreError;
 pub use executor::RoundExecutor;
 pub use faulty::{run_device_round_with, run_honest_reader_with, simulate_round_with};

@@ -34,7 +34,7 @@ use tagwatch_sim::hash::slot_for_counted;
 use tagwatch_sim::{Counter, FrameSize, Nonce, SimDuration, TagId, TagPopulation, TimingModel};
 
 use crate::bitstring::Bitstring;
-use crate::engine::{sequential_min_scan, RoundEngine, RoundScratch};
+use crate::engine::{RoundEngine, RoundScratch};
 use crate::error::CoreError;
 use crate::nonce::NonceSequence;
 use crate::timer::ResponseTimer;
@@ -619,14 +619,9 @@ pub fn attributed_round(
     let mut attribution: Vec<Vec<TagId>> = vec![Vec::new(); f.as_usize()];
     let mut scratch = RoundScratch::new();
     scratch.load_pairs(registry.iter().copied());
-    let announcements = scratch.run_attributed_with(
-        f,
-        challenge.nonces(),
-        sequential_min_scan,
-        |slot, members| {
-            attribution[slot as usize] = members.iter().map(|&i| registry[i as usize].0).collect();
-        },
-    )?;
+    let announcements = scratch.run_attributed_with(f, challenge.nonces(), |slot, members| {
+        attribution[slot as usize] = members.iter().map(|&i| registry[i as usize].0).collect();
+    })?;
     Ok((
         RoundOutcome {
             bitstring: scratch.take_bitstring(),

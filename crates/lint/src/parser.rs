@@ -860,8 +860,8 @@ mod tests {
         assert_eq!(module_path_of("src/lib.rs"), "tagwatch");
         assert_eq!(module_path_of("crates/cli/src/main.rs"), "cli");
         assert_eq!(
-            module_path_of("crates/bench/src/bin/perf.rs"),
-            "bench::bin::perf"
+            module_path_of("crates/bench/src/bin/fig4.rs"),
+            "bench::bin::fig4"
         );
         assert_eq!(
             module_path_of("crates/analytics/tests/soak.rs"),

@@ -290,7 +290,8 @@ pub enum FileRole {
     /// Integration tests, benches, fixtures: only the unsafe-token scan
     /// and allow-syntax checks.
     Test,
-    /// `examples/**`: same reduced set as tests.
+    /// `examples/**` and the benchmark package's `benchmark/src/**`:
+    /// same reduced set as tests.
     Example,
 }
 

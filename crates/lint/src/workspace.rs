@@ -6,7 +6,11 @@
 //! plus the root facade crate), and a convention walk keeps the
 //! analyzer free of TOML parsing. Vendored stand-ins (`vendor/`),
 //! build output (`target/`), and this crate's own violation fixtures
-//! (`crates/lint/tests/fixtures/`) are never scanned.
+//! (`crates/lint/tests/fixtures/`) are never scanned. The benchmark
+//! (`benchmark/src`) is a package of its own outside the workspace, but
+//! it calls the crates' public API, so it is scanned as a caller with
+//! the reduced example rule set: without it, `u1-dead-pub` would report
+//! items that only the benchmark uses.
 //!
 //! Directory entries are sorted at every level, so the file list —
 //! and therefore the findings report and its digest — is identical
@@ -85,6 +89,13 @@ pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
         &root.join("examples"),
         root,
         "tagwatch",
+        FileRole::Example,
+        &mut files,
+    )?;
+    collect_tree(
+        &root.join("benchmark").join("src"),
+        root,
+        "benchmark",
         FileRole::Example,
         &mut files,
     )?;

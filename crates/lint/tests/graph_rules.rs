@@ -118,6 +118,19 @@ fn u1_names_the_dead_item_and_spares_the_live_one() {
     );
 }
 
+#[test]
+fn u1_counts_the_benchmark_package_as_a_caller() {
+    let (analysis, _) = scenario("u1_benchmark_caller");
+    let u1 = of_rule(&analysis, RuleId::U1DeadPub);
+    assert_eq!(u1.len(), 1, "{:?}", analysis.findings);
+    assert!(u1[0].message.contains("store::dead_api"), "{:?}", u1[0]);
+    assert!(
+        !analysis.human().contains("bench_only_api"),
+        "the benchmark-called fn must not be flagged:\n{}",
+        analysis.human()
+    );
+}
+
 // ---- stale-allow audit --------------------------------------------
 
 #[test]

@@ -9,8 +9,7 @@
 //!   pre-resolved handles: counters, gauges and fixed-bucket
 //!   histograms, recorded through plain `u64` adds with no allocation
 //!   and no locking. [`Obs::disabled`] reduces every record call to
-//!   one untaken branch; the perf harness measures and gates that
-//!   cost.
+//!   one untaken branch.
 //! - **[`FlightRecorder`] + [`ObsEvent`]** — a bounded, drop-oldest
 //!   ring of structured events, captured into a [`FlightDump`]
 //!   postmortem on failure triggers (soak invariant violations,

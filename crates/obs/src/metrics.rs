@@ -10,8 +10,7 @@
 //! 2. **Disabled mode that compiles to near-nothing.** Every record
 //!    method starts with a single predictable branch on `enabled`;
 //!    [`Obs::disabled`] makes the whole telemetry layer one untaken
-//!    branch per call site. `bench/src/bin/perf.rs` measures and
-//!    gates this cost.
+//!    branch per call site.
 //! 3. **Deterministic export.** [`Obs::snapshot_json`] walks metrics
 //!    in registration order and renders them with the workspace's
 //!    byte-stable JSON discipline, with an FNV-1a digest embedded so
