@@ -85,7 +85,7 @@ use tagwatch_sim::{Counter, FrameSize, TagId, TagPopulation};
 /// host, where the pool never ran, and is not re-derived yet: the
 /// repository benchmark's traced `fleet` run (n = 10⁴, above the
 /// threshold; `results/benchmark/fleet_traced.txt`) reads
-/// `pool.speedup` 0.36 at two threads on a 2-vCPU host, so there the
+/// `pool.speedup` 0.44 at two threads on a 2-vCPU host, so there the
 /// pool engages and loses (see docs/PERFORMANCE.md). The soak default
 /// (n = 60) and every golden-digest workload sit far below and always
 /// take the scalar path.

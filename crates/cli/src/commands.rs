@@ -250,8 +250,10 @@ USAGE:
                     [--threads N]
                                                     long-horizon soak: Markov channel,
                                                     scripted incidents, invariant
-                                                    checks, JSON latency report, and
-                                                    optional telemetry exports.
+                                                    checks, a printed report digest,
+                                                    and optional exports.
+                                                    --report writes the JSON latency
+                                                    report (no file without it);
                                                     --prom-out renders the metrics
                                                     registry as Prometheus text;
                                                     --spans-out writes the cost-clock

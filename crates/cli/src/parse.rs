@@ -93,7 +93,8 @@ pub enum Command {
     },
     /// `soak [--seed S] [--ticks T] [--protocol trp|utrp]
     /// [--report PATH] [--metrics-out PATH] [--trace-out PATH]` — run
-    /// the long-horizon soak driver and write its JSON report.
+    /// the long-horizon soak driver and print its digest; the JSON
+    /// report is written only with `--report`.
     Soak {
         /// Root seed (the whole run is deterministic in it).
         seed: u64,
@@ -101,7 +102,7 @@ pub enum Command {
         ticks: u64,
         /// Routine-tick protocol (`true` = UTRP, the default).
         utrp: bool,
-        /// Report path override (default `results/soak_<seed>.json`).
+        /// Where to write the JSON report, if anywhere.
         report: Option<String>,
         /// Where to write the telemetry metrics snapshot, if anywhere.
         metrics_out: Option<String>,
@@ -305,9 +306,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         return Ok(Command::Help);
     };
     // Checked before any value is read: a mistyped flag must not fall
-    // back to a default and run (a default soak overwrites
-    // `results/soak_1.json`). Positional paths of `inspect` are
-    // skipped, since a path may start with `--`.
+    // back to a default and run (`--reprot x.json` would drop the
+    // report). Positional paths of `inspect` are skipped, since a path
+    // may start with `--`.
     let sub = args.get(1).map(String::as_str);
     let (from, known) = match (cmd, sub) {
         ("simulate", Some("utrp")) => (1, SIMULATE_UTRP_FLAGS),
@@ -634,7 +635,7 @@ mod tests {
                 threads: 1,
             }
         );
-        // Defaults: seed 1, 5000 UTRP ticks, derived report path.
+        // Defaults: seed 1, 5000 UTRP ticks, no report file.
         assert_eq!(
             parse(&argv("soak")).unwrap(),
             Command::Soak {

@@ -1,5 +1,6 @@
-//! The `soak` subcommand: drive the long-horizon soak harness and
-//! write its JSON report for CI regression tracking.
+//! The `soak` subcommand: drive the long-horizon soak harness, print
+//! its summary and digest, and write its JSON report where `--report`
+//! says.
 
 use std::path::PathBuf;
 
@@ -80,7 +81,7 @@ pub struct SoakCmd {
     pub ticks: u64,
     /// Routine-tick protocol (`true` = UTRP).
     pub utrp: bool,
-    /// Report path override (default `results/soak_<seed>.json`).
+    /// Where to write the JSON report, if anywhere.
     pub report: Option<String>,
     /// Where to write the metrics snapshot, if anywhere.
     pub metrics_out: Option<String>,
@@ -124,9 +125,10 @@ impl Default for SoakCmd {
     }
 }
 
-/// Runs a soak and writes the JSON report (default path
-/// `results/soak_<seed>.json`). Exits non-zero — via the returned
-/// error — if any invariant was violated, so CI fails loudly.
+/// Runs a soak, writes the JSON report only where `--report` says, and
+/// returns the summary with the report digest. Exits non-zero — via
+/// the returned error — if any invariant was violated, so CI fails
+/// loudly.
 ///
 /// The run is always instrumented: `--metrics-out` exports the full
 /// metrics snapshot (violation and quarantine counts included, so the
@@ -155,7 +157,7 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
         seed,
         ticks,
         utrp,
-        report: report_path,
+        report: report_out,
         metrics_out,
         trace_out,
         prom_out,
@@ -216,16 +218,9 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
         run_soak_observed_threads(&config, &obs, threads).map_err(to_cli)?
     };
 
-    let path: PathBuf = match report_path {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from(format!("results/soak_{seed}.json")),
-    };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(to_cli)?;
-        }
+    if let Some(p) = &report_out {
+        write_artifact(p, &report.to_json())?;
     }
-    std::fs::write(&path, report.to_json()).map_err(to_cli)?;
     if let Some(p) = &metrics_out {
         write_artifact(p, &obs.snapshot_json())?;
     }
@@ -246,20 +241,18 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
             .map_or_else(|| "-".to_owned(), |v| format!("{v:.1}"))
     };
     let mut out = format!(
-        "soak: {} {} ticks, seed {} -> {}\n\
+        "soak: {} {} ticks, seed {}\n\
          verdicts: {} intact / {} alarms / {} desynced\n\
          incidents: {} thefts, {} desync bursts, {} crashes\n\
          recoveries: {} resyncs, {} escalations ({} noise-only), {} quarantines\n\
          audits: {} ({:.2} per 1000 ticks, max {} in any 100 ticks)\n\
-         recovery latency: {} samples, p50 {}, p90 {}, p99 {}\n\
-         digest: fnv1a:{:016x}\n",
+         recovery latency: {} samples, p50 {}, p90 {}, p99 {}\n",
         match config.protocol {
             TickProtocol::Utrp => "UTRP",
             TickProtocol::Trp => "TRP",
         },
         ticks,
         seed,
-        path.display(),
         c.intact,
         c.alarms,
         c.desynced,
@@ -277,8 +270,11 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
         pct(0.50),
         pct(0.90),
         pct(0.99),
-        report.digest(),
     );
+    if let Some(p) = &report_out {
+        out.push_str(&format!("report: {p}\n"));
+    }
+    out.push_str(&format!("digest: fnv1a:{:016x}\n", report.digest()));
     if let (Some(policy), Some(path)) = (&policy, &policy_path) {
         out.push_str(&format!("policy: site `{}` from {path}\n", policy.site));
     }
@@ -324,9 +320,40 @@ mod tests {
         assert!(out.contains("all soak invariants held"), "{out}");
         assert!(out.contains("digest: fnv1a:"));
         assert!(out.contains("telemetry: 0 violations"), "{out}");
+        assert!(
+            out.contains(&format!("report: {}", path.display())),
+            "{out}"
+        );
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"violations\": []"), "{json}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn soak_without_report_writes_no_file() {
+        // Run from the repository root, a fallback report path would
+        // overwrite the committed `results/soak_<seed>.json`.
+        let listing = || {
+            std::fs::read_dir("results").ok().map(|dir| {
+                let mut names: Vec<_> = dir.filter_map(|e| e.ok().map(|e| e.file_name())).collect();
+                names.sort();
+                names
+            })
+        };
+        let before = listing();
+        let out = run_soak_command(SoakCmd {
+            seed: 11,
+            ticks: 5,
+            ..SoakCmd::default()
+        })
+        .expect("soak should be clean");
+        assert!(out.contains("digest: fnv1a:"), "{out}");
+        assert!(!out.contains("report:"), "{out}");
+        assert_eq!(
+            listing(),
+            before,
+            "a soak without --report wrote under results/"
+        );
     }
 
     #[test]

@@ -87,8 +87,7 @@ pub use error::CoreError;
 pub use executor::RoundExecutor;
 pub use faulty::{run_device_round_with, run_honest_reader_with, simulate_round_with};
 pub use frame::{
-    trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, FrameSizer,
-    UtrpSizing,
+    trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing,
 };
 pub use groups::{GroupedAudit, GroupedMonitor, GroupedReport};
 pub use identify::{identify_missing, Identifier, IdentifyConfig, IdentifyOutcome};

@@ -35,8 +35,7 @@ impl LnFactorial {
     /// bit-identical to one built with [`up_to`](LnFactorial::up_to)
     /// directly — growth is purely an amortization: a frame-size search
     /// that gallops past its initial guess pays only for the new
-    /// entries, and one table can serve every sizing call of a server's
-    /// lifetime.
+    /// entries.
     pub fn grow_to(&mut self, max: u64) {
         let want = max as usize + 1;
         if self.table.len() >= want {

@@ -6,6 +6,7 @@
 //! consumed by value at verification so no `(f, r)` can be replayed —
 //! the paper's freshness requirement enforced by the type system.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -127,6 +128,12 @@ pub struct MonitorServer {
     // performs no per-round allocation (buffers grow to the registry
     // size once and stay).
     scratch: RoundScratch,
+    // Eq. 2 and Eq. 3 frames, each solved by the first challenge of its
+    // protocol. Their inputs (`params`, `config.utrp_sizing`) are set
+    // only in `with_config`, so one answer (or one sizing error) serves
+    // every later challenge.
+    trp_frame: OnceCell<Result<FrameSize, CoreError>>,
+    utrp_frame: OnceCell<Result<FrameSize, CoreError>>,
 }
 
 impl MonitorServer {
@@ -173,6 +180,8 @@ impl MonitorServer {
             pending_resync: None,
             history: Vec::new(),
             scratch: RoundScratch::new(),
+            trp_frame: OnceCell::new(),
+            utrp_frame: OnceCell::new(),
         })
     }
 
@@ -244,6 +253,9 @@ impl MonitorServer {
 
     /// Issues a fresh TRP challenge: frame sized by Eq. 2, random nonce.
     ///
+    /// The frame is solved once per server, by its first TRP challenge;
+    /// later challenges reuse it and draw only the nonce from `rng`.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoFeasibleFrame`] if sizing fails
@@ -252,7 +264,10 @@ impl MonitorServer {
         &self,
         rng: &mut R,
     ) -> Result<TrpChallenge, CoreError> {
-        let f = trp_frame_size(&self.params)?;
+        let f = self
+            .trp_frame
+            .get_or_init(|| trp_frame_size(&self.params))
+            .clone()?;
         Ok(TrpChallenge::generate(f, rng))
     }
 
@@ -280,6 +295,11 @@ impl MonitorServer {
     /// Issues a fresh UTRP challenge: frame sized by Eq. 3 (plus the
     /// configured pad), a committed nonce sequence, and a deadline.
     ///
+    /// The frame is solved once per server, by its first UTRP
+    /// challenge (a sizing error is remembered the same way); later
+    /// challenges reuse it, so the RNG stream is that of
+    /// [`MonitorServer::issue_utrp_challenge_with_frame`] at that frame.
+    ///
     /// # Errors
     ///
     /// * [`CoreError::CounterDesync`] — a previous UTRP round failed, so
@@ -291,7 +311,10 @@ impl MonitorServer {
         &self,
         rng: &mut R,
     ) -> Result<UtrpChallenge, CoreError> {
-        let f = utrp_frame_size(&self.params, self.config.utrp_sizing)?;
+        let f = self
+            .utrp_frame
+            .get_or_init(|| utrp_frame_size(&self.params, self.config.utrp_sizing))
+            .clone()?;
         self.issue_utrp_challenge_with_frame(f, rng)
     }
 
@@ -901,6 +924,72 @@ mod tests {
         let text = server.to_string();
         assert!(text.contains("10 tags"));
         assert!(text.contains("0 alarms"));
+    }
+
+    // ------------------------------------------------------------------
+    // Frame memo
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn memoised_frames_equal_the_free_functions() {
+        let config = ServerConfig {
+            utrp_sizing: UtrpSizing {
+                sync_budget: 35,
+                safety_pad: 3,
+            },
+            ..ServerConfig::default()
+        };
+        let mut r = rng(41);
+        for &(n, m, alpha) in &[(60u64, 3u64, 0.9), (500, 10, 0.95), (2000, 30, 0.99)] {
+            let server = MonitorServer::with_config(ids(n), m, alpha, config).unwrap();
+            let params = server.params();
+            let trp = trp_frame_size(&params).unwrap();
+            let utrp = utrp_frame_size(&params, config.utrp_sizing).unwrap();
+            assert_ne!(
+                utrp,
+                utrp_frame_size(&params, UtrpSizing::default()).unwrap()
+            );
+            for _ in 0..2 {
+                let ch = server.issue_trp_challenge(&mut r).unwrap();
+                assert_eq!(ch.frame_size(), trp, "trp n={n} m={m} α={alpha}");
+                let ch = server.issue_utrp_challenge(&mut r).unwrap();
+                assert_eq!(ch.frame_size(), utrp, "utrp n={n} m={m} α={alpha}");
+            }
+            let clone = server.clone();
+            let ch = clone.issue_trp_challenge(&mut r).unwrap();
+            assert_eq!(ch.frame_size(), trp, "cloned trp n={n} m={m} α={alpha}");
+            let ch = clone.issue_utrp_challenge(&mut r).unwrap();
+            assert_eq!(ch.frame_size(), utrp, "cloned utrp n={n} m={m} α={alpha}");
+        }
+    }
+
+    #[test]
+    fn memoised_utrp_challenges_draw_the_unmemoised_rng_stream() {
+        let server = MonitorServer::new(ids(80), 4, 0.95).unwrap();
+        let timing = server.config().timing;
+        let f = utrp_frame_size(&server.params(), server.config().utrp_sizing).unwrap();
+        let (mut ra, mut rb) = (rng(42), rng(42));
+        for round in 0..5 {
+            assert_eq!(
+                server.issue_utrp_challenge(&mut ra).unwrap(),
+                UtrpChallenge::generate(f, &timing, &mut rb),
+                "challenge {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn sizing_errors_are_remembered_per_protocol() {
+        // n = m + 1: TRP sizes, UTRP has no valid colluder split.
+        let server = MonitorServer::new(ids(6), 5, 0.95).unwrap();
+        let mut r = rng(43);
+        for _ in 0..2 {
+            assert!(matches!(
+                server.issue_utrp_challenge(&mut r),
+                Err(CoreError::InvalidParams { .. })
+            ));
+        }
+        assert!(server.issue_trp_challenge(&mut r).is_ok());
     }
 
     // ------------------------------------------------------------------
