@@ -60,7 +60,7 @@
 //! writes fallback events into `obs`: an exact engine must be
 //! observably indistinguishable from the scalar engine at every
 //! thread count, or the committed golden digests would fork on the
-//! operator's `--threads` choice. A pool configured with
+//! thread count a caller passes to `set_threads`. A pool configured with
 //! `threads <= 1` never spawns workers and *is* the scalar engine (no
 //! fallback accounting: scalar is the chosen path, not a fallback).
 

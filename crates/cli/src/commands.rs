@@ -7,7 +7,7 @@ use tagwatch_core::registry::RegistrySnapshot;
 use tagwatch_core::{trp_frame_size, utrp_frame_size, MonitorParams, MonitorServer, UtrpSizing};
 use tagwatch_sim::{SeedSequence, TagId};
 
-use crate::parse::{CliError, Command};
+use crate::parse::{help, CliError, Command};
 
 /// Executes a parsed command, returning its stdout text.
 ///
@@ -17,10 +17,10 @@ use crate::parse::{CliError, Command};
 /// combinations (e.g. `m >= n`).
 pub fn run(command: Command) -> Result<String, CliError> {
     match command {
-        Command::Help => Ok(HELP.to_owned()),
+        Command::Help => Ok(help()),
         Command::SizeTrp { n, m, alpha } => {
             let params = params(n, m, alpha)?;
-            let f = trp_frame_size(&params).map_err(to_cli)?;
+            let f = trp_frame_size(&params).map_err(CliError::new)?;
             let g = detection_probability(n, m + 1, f.get(), EmptySlotModel::Poisson);
             Ok(format!(
                 "TRP frame (Eq. 2): {} for n={n}, m={m}, alpha={alpha}\n\
@@ -34,7 +34,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 sync_budget: c,
                 safety_pad: 8,
             };
-            let f = utrp_frame_size(&params, sizing).map_err(to_cli)?;
+            let f = utrp_frame_size(&params, sizing).map_err(CliError::new)?;
             let d = utrp_detection_probability(n, m, f.get(), c, EmptySlotModel::Poisson);
             Ok(format!(
                 "UTRP frame (Eq. 3 + pad 8): {} for n={n}, m={m}, alpha={alpha}, c={c}\n\
@@ -45,14 +45,10 @@ pub fn run(command: Command) -> Result<String, CliError> {
         }
         Command::Detection { n, x, f } => {
             if x > n {
-                return Err(CliError {
-                    message: format!("x = {x} exceeds n = {n}"),
-                });
+                return Err(CliError::new(format!("x = {x} exceeds n = {n}")));
             }
             if f == 0 {
-                return Err(CliError {
-                    message: "f must be at least 1".to_owned(),
-                });
+                return Err(CliError::new("f must be at least 1"));
             }
             let poisson = detection_probability(n, x, f, EmptySlotModel::Poisson);
             let exact = detection_probability(n, x, f, EmptySlotModel::Exact);
@@ -63,7 +59,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
         }
         Command::SimulateTrp { n, m, trials, seed } => {
             let params = params(n, m, 0.95)?;
-            let f = trp_frame_size(&params).map_err(to_cli)?;
+            let f = trp_frame_size(&params).map_err(CliError::new)?;
             let seeds = SeedSequence::new(seed);
             let detected = (0..trials)
                 .filter(|&t| trp_detection_trial(n, m, f, seeds.seed_for(t)))
@@ -85,15 +81,13 @@ pub fn run(command: Command) -> Result<String, CliError> {
         } => {
             let params = params(n, m, 0.95)?;
             if m + 1 >= n {
-                return Err(CliError {
-                    message: "utrp needs n > m + 1".to_owned(),
-                });
+                return Err(CliError::new("utrp needs n > m + 1"));
             }
             let sizing = UtrpSizing {
                 sync_budget: budget,
                 safety_pad: 8,
             };
-            let f = utrp_frame_size(&params, sizing).map_err(to_cli)?;
+            let f = utrp_frame_size(&params, sizing).map_err(CliError::new)?;
             let detected = utrp_detection_cell(n, m, f, budget, trials, SeedSequence::new(seed));
             let p = Proportion::new(detected, trials);
             Ok(format!(
@@ -110,23 +104,21 @@ pub fn run(command: Command) -> Result<String, CliError> {
             use tagwatch_sim::TagPopulation;
 
             if steal >= n {
-                return Err(CliError {
-                    message: format!("cannot steal {steal} of {n} tags"),
-                });
+                return Err(CliError::new(format!("cannot steal {steal} of {n} tags")));
             }
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut floor = TagPopulation::with_sequential_ids(n as usize);
             let registry = floor.ids();
             let stolen = floor
                 .remove_random(steal as usize, &mut rng)
-                .map_err(to_cli)?;
+                .map_err(CliError::new)?;
             let outcome = identify_missing(
                 &registry,
                 IdentifyConfig::default(),
                 &mut rng,
                 |challenge| Ok(observed_bitstring(&floor.ids(), challenge)),
             )
-            .map_err(to_cli)?;
+            .map_err(CliError::new)?;
             let mut found: Vec<String> = outcome.missing.iter().map(ToString::to_string).collect();
             found.sort();
             let mut expected: Vec<String> = stolen.iter().map(|t| t.id().to_string()).collect();
@@ -149,53 +141,18 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 }
             ))
         }
-        Command::Faults {
-            quick,
-            trials,
-            seed,
-            metrics_out,
-            prom_out,
-            policy,
-        } => crate::faults::run_faults(quick, trials, seed, metrics_out, prom_out, policy),
-        Command::Soak {
-            seed,
-            ticks,
-            utrp,
-            report,
-            metrics_out,
-            trace_out,
-            prom_out,
-            spans_out,
-            spans_wall,
-            wal_out,
-            crash_at,
-            policy,
-            threads,
-        } => crate::soak::run_soak_command(crate::soak::SoakCmd {
-            seed,
-            ticks,
-            utrp,
-            report,
-            metrics_out,
-            trace_out,
-            prom_out,
-            spans_out,
-            spans_wall,
-            wal_out,
-            crash_at,
-            policy,
-            threads,
-        }),
+        Command::Faults(faults) => crate::faults::run_faults(faults),
+        Command::Soak(soak) => crate::soak::run_soak_command(soak),
         Command::Recover { path, report } => crate::recover::run_recover_command(&path, report),
         Command::Inspect { path } => crate::inspect::run_inspect(&path),
         Command::InspectDiff { a, b } => crate::inspect::run_inspect_diff(&a, &b),
         Command::RegistryNew { n, m, alpha } => {
             let ids: Vec<TagId> = (1..=n).map(TagId::from).collect();
-            let server = MonitorServer::new(ids, m, alpha).map_err(to_cli)?;
+            let server = MonitorServer::new(ids, m, alpha).map_err(CliError::new)?;
             Ok(server.snapshot().to_text())
         }
         Command::RegistryInfo { text } => {
-            let snap = RegistrySnapshot::from_text(&text).map_err(to_cli)?;
+            let snap = RegistrySnapshot::from_text(&text).map_err(CliError::new)?;
             let max_ct = snap
                 .entries
                 .iter()
@@ -219,93 +176,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
 }
 
 fn params(n: u64, m: u64, alpha: f64) -> Result<MonitorParams, CliError> {
-    MonitorParams::new(n, m, alpha).map_err(to_cli)
+    MonitorParams::new(n, m, alpha).map_err(CliError::new)
 }
-
-fn to_cli<E: std::fmt::Display>(e: E) -> CliError {
-    CliError {
-        message: e.to_string(),
-    }
-}
-
-/// The `help` text.
-pub const HELP: &str = "\
-tagwatch-cli - missing-RFID-tag monitoring toolbox (Tan, Sheng & Li, ICDCS 2008)
-
-USAGE:
-  tagwatch-cli size trp  <n> <m> <alpha>            Eq. 2 frame size
-  tagwatch-cli size utrp <n> <m> <alpha> [c]        Eq. 3 frame size (+8 pad)
-  tagwatch-cli detection <n> <x> <f>                evaluate g(n, x, f)
-  tagwatch-cli simulate trp  <n> <m> [--trials T] [--seed S]
-  tagwatch-cli simulate utrp <n> <m> [--budget C] [--trials T] [--seed S]
-  tagwatch-cli identify <n> [--steal K] [--seed S]  run missing-tag identification
-  tagwatch-cli faults [--quick] [--trials T] [--seed S] [--metrics-out PATH]
-                      [--prom-out PATH] [--policy FILE]
-                                                    fault-scenario matrix (alarm /
-                                                    desync / recovery rates)
-  tagwatch-cli soak [--seed S] [--ticks T] [--protocol trp|utrp] [--report PATH]
-                    [--metrics-out PATH] [--trace-out PATH]
-                    [--prom-out PATH] [--spans-out PATH] [--spans-wall]
-                    [--wal-out PATH] [--crash-at T] [--policy FILE]
-                    [--threads N]
-                                                    long-horizon soak: Markov channel,
-                                                    scripted incidents, invariant
-                                                    checks, a printed report digest,
-                                                    and optional exports.
-                                                    --report writes the JSON latency
-                                                    report (no file without it);
-                                                    --prom-out renders the metrics
-                                                    registry as Prometheus text;
-                                                    --spans-out writes the cost-clock
-                                                    span tree (session > tick > round)
-                                                    as JSONL; --spans-wall decorates
-                                                    it with wall-clock nanoseconds
-                                                    (artifact no longer byte-stable);
-                                                    --wal-out journals the run to a
-                                                    durable write-ahead log (flushed
-                                                    even on a violation exit);
-                                                    --crash-at kills the run before
-                                                    tick T, leaving a resumable WAL;
-                                                    --policy runs the session under a
-                                                    tagwatch-policy v1 document (the
-                                                    WAL carries it, so recover replays
-                                                    under the same policy);
-                                                    --threads scans rounds on a worker
-                                                    pool (report bytes identical at
-                                                    any count)
-  tagwatch-cli recover <wal> [--report PATH]        warm-restart a soak from its WAL,
-                                                    re-verify every recorded tick, run
-                                                    to completion, print the verified
-                                                    digest. exit 0: recovered (damaged
-                                                    tails are excised and attributed);
-                                                    exit 1: unreadable WAL, malformed
-                                                    records, replay divergence, or
-                                                    invariant violations
-  tagwatch-cli inspect <path>                       summarize an exported artifact
-                                                    (metrics snapshot, JSONL event
-                                                    trace, span tree, or
-                                                    tagwatch-policy v1 document,
-                                                    auto-detected)
-  tagwatch-cli inspect diff <a> <b>                 compare two artifacts of the same
-                                                    kind and report the first
-                                                    divergence (event, span, or
-                                                    metric) - the postmortem tool for
-                                                    two runs that should have been
-                                                    identical
-  tagwatch-cli registry new <n> <m> <alpha>         print a fresh registry snapshot
-  tagwatch-cli registry info < snapshot.txt         summarize a snapshot from stdin
-  tagwatch-cli help
-
-EXAMPLES:
-  tagwatch-cli size trp 1000 10 0.95
-  tagwatch-cli simulate utrp 500 5 --budget 20 --trials 1000
-  tagwatch-cli soak --ticks 500 --metrics-out results/soak_metrics.json
-  tagwatch-cli soak --ticks 200 --wal-out results/run.wal --crash-at 137
-  tagwatch-cli recover results/run.wal --report results/recovered.json
-  tagwatch-cli soak --ticks 200 --prom-out results/soak.prom --spans-out results/spans.jsonl
-  tagwatch-cli inspect results/soak_metrics.json
-  tagwatch-cli inspect diff results/spans_a.jsonl results/spans_b.jsonl
-";
 
 #[cfg(test)]
 mod tests {
@@ -332,7 +204,6 @@ mod tests {
             "--wal-out",
             "--crash-at",
             "--policy",
-            "--threads",
             "registry",
         ] {
             assert!(text.contains(word), "help missing `{word}`");

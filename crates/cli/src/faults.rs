@@ -19,9 +19,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tagwatch_core::faulty::run_honest_reader_with;
 use tagwatch_core::utrp::attributed_round;
-use tagwatch_core::{CoreError, MonitorServer, ServerConfig, Verdict};
+use tagwatch_core::{CoreError, MonitorServer, RoundExecutor, RoundScratch, ServerConfig, Verdict};
 use tagwatch_obs::Obs;
 use tagwatch_sim::{
     Channel, ChannelConfig, Counter, FaultPlan, SeedSequence, TagId, TagPopulation,
@@ -119,6 +118,38 @@ struct Tally {
     recovered: u64,
 }
 
+/// Everything the `faults` subcommand was asked to do.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultsCmd {
+    /// Cap trials at a smoke-test size (CI).
+    pub quick: bool,
+    /// Trials per scenario.
+    pub trials: u64,
+    /// Root seed.
+    pub seed: u64,
+    /// Where to write the telemetry metrics snapshot, if anywhere.
+    pub metrics_out: Option<String>,
+    /// Where to write the Prometheus text exposition, if anywhere.
+    pub prom_out: Option<String>,
+    /// Path of a `tagwatch-policy v1` document whose desync window the
+    /// scenarios use (default: the matrix's built-in window).
+    pub policy: Option<String>,
+}
+
+impl Default for FaultsCmd {
+    /// What a bare `tagwatch-cli faults` runs.
+    fn default() -> Self {
+        FaultsCmd {
+            quick: false,
+            trials: 100,
+            seed: 1,
+            metrics_out: None,
+            prom_out: None,
+            policy: None,
+        }
+    }
+}
+
 /// Runs the full scenario matrix and renders the report. With
 /// `--metrics-out`, every round's verdict and recovery action also
 /// streams into a telemetry registry whose deterministic snapshot is
@@ -133,39 +164,36 @@ struct Tally {
 /// Returns a [`CliError`] for an unreadable or invalid policy file, or
 /// for internal protocol errors (a bug, not bad user input — the
 /// parser validates the flags).
-pub fn run_faults(
-    quick: bool,
-    trials: u64,
-    seed: u64,
-    metrics_out: Option<String>,
-    prom_out: Option<String>,
-    policy_path: Option<String>,
-) -> Result<String, CliError> {
-    if trials == 0 {
-        return Err(CliError {
-            message: "--trials must be at least 1".to_owned(),
-        });
+pub fn run_faults(cmd: FaultsCmd) -> Result<String, CliError> {
+    if cmd.trials == 0 {
+        return Err(CliError::new("--trials must be at least 1"));
     }
-    let policy = policy_path
+    let policy = cmd
+        .policy
         .as_deref()
         .map(crate::soak::load_policy)
         .transpose()?;
     let desync_window = policy.as_ref().map_or(DESYNC_WINDOW, |p| p.desync_window);
-    let trials = if quick { trials.min(20) } else { trials };
-    let obs = if metrics_out.is_some() || prom_out.is_some() {
+    let trials = if cmd.quick {
+        cmd.trials.min(20)
+    } else {
+        cmd.trials
+    };
+    let obs = if cmd.metrics_out.is_some() || cmd.prom_out.is_some() {
         Obs::new()
     } else {
         Obs::disabled()
     };
-    let seeds = SeedSequence::new(seed);
+    let seeds = SeedSequence::new(cmd.seed);
     let mut out = String::new();
     out.push_str(&format!(
         "fault scenario matrix: n={N}, m={M}, alpha={ALPHA}, {ROUNDS} rounds/trial, \
-         {trials} trials/scenario, seed {seed}\n\
+         {trials} trials/scenario, seed {}\n\
          (fault-only scenarios hold an intact floor: alarms there are FALSE alarms,\n\
-          the fail-safe cost of never reporting a faulty round as intact)\n\n"
+          the fail-safe cost of never reporting a faulty round as intact)\n\n",
+        cmd.seed
     ));
-    if let (Some(policy), Some(path)) = (&policy, &policy_path) {
+    if let (Some(policy), Some(path)) = (&policy, &cmd.policy) {
         out.push_str(&format!(
             "policy: site `{}` from {path} (desync window {desync_window})\n\n",
             policy.site
@@ -179,10 +207,8 @@ pub fn run_faults(
         let mut tally = Tally::default();
         for t in 0..trials {
             let trial_seed = seeds.seed_for((i as u64) << 32 | t);
-            let result =
-                run_trial(*scenario, trial_seed, desync_window, &obs).map_err(|e| CliError {
-                    message: format!("{} trial {t}: {e}", scenario.name()),
-                })?;
+            let result = run_trial(*scenario, trial_seed, desync_window, &obs)
+                .map_err(|e| CliError::new(format!("{} trial {t}: {e}", scenario.name())))?;
             tally.alarms += u64::from(result.alarmed);
             tally.desyncs += u64::from(result.desynced);
             tally.audits += u64::from(result.audited);
@@ -202,7 +228,7 @@ pub fn run_faults(
         "\nexpectations: baseline alarms 0 and recovers 1; theft(m+1) alarms near 1;\n\
          desync-recovery desyncs 1 with audit 0 (hypothesis resync suffices).\n",
     );
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &cmd.metrics_out {
         crate::soak::write_artifact(path, &obs.snapshot_json())?;
         out.push_str(&format!(
             "metrics snapshot ({} rounds, digest fnv64:{:016x}) -> {path}\n",
@@ -210,7 +236,7 @@ pub fn run_faults(
             obs.snapshot_digest(),
         ));
     }
-    if let Some(path) = &prom_out {
+    if let Some(path) = &cmd.prom_out {
         crate::soak::write_artifact(path, &tagwatch_obs::to_prometheus_text(&obs))?;
         out.push_str(&format!(
             "prometheus exposition ({} rounds) -> {path}\n",
@@ -247,6 +273,7 @@ fn run_trial(
     }
 
     let timing = server.config().timing;
+    let mut scratch = RoundScratch::new();
     let mut result = TrialResult {
         alarmed: false,
         desynced: false,
@@ -265,12 +292,16 @@ fn run_trial(
         }
         let challenge = server.issue_utrp_challenge(&mut rng)?;
         let plan = round_plan(scenario, round, &server, &challenge)?;
-        let channel = scenario.channel();
-        let response =
-            run_honest_reader_with(&mut floor, &challenge, &timing, &channel, &plan, &mut rng)?;
-        obs.inc(obs.m.rounds_total);
-        obs.inc(obs.m.rounds_utrp);
-        match server.verify_utrp(challenge, &response) {
+        let response = RoundExecutor::new(scenario.channel(), Some(plan))
+            .run_utrp_scratch_observed(
+                &mut floor,
+                &challenge,
+                &timing,
+                &mut rng,
+                &mut scratch,
+                obs,
+            )?;
+        match server.verify_utrp_with(challenge, &response, &mut scratch) {
             Ok(report) => {
                 obs.observe(obs.m.hamming_distance, report.mismatched_slots as f64);
                 match report.verdict {
@@ -348,6 +379,15 @@ fn round_plan(
 mod tests {
     use super::*;
 
+    fn quick(trials: u64, seed: u64) -> FaultsCmd {
+        FaultsCmd {
+            quick: true,
+            trials,
+            seed,
+            ..FaultsCmd::default()
+        }
+    }
+
     fn rates(line: &str) -> Vec<f64> {
         line.split_whitespace()
             .skip(1)
@@ -364,7 +404,7 @@ mod tests {
 
     #[test]
     fn matrix_runs_and_reports_every_scenario() {
-        let report = run_faults(true, 5, 1, None, None, None).unwrap();
+        let report = run_faults(quick(5, 1)).unwrap();
         for scenario in SCENARIOS {
             assert!(
                 report.lines().any(|l| l.starts_with(scenario.name())),
@@ -376,7 +416,7 @@ mod tests {
 
     #[test]
     fn baseline_is_quiet_and_theft_detects() {
-        let report = run_faults(true, 10, 2, None, None, None).unwrap();
+        let report = run_faults(quick(10, 2)).unwrap();
         let baseline = rates(scenario_line(&report, "baseline"));
         assert_eq!(baseline, vec![0.0, 0.0, 0.0, 1.0], "{report}");
         let theft = rates(scenario_line(&report, "theft(m+1)"));
@@ -385,7 +425,7 @@ mod tests {
 
     #[test]
     fn desync_recovery_is_diagnosed_without_audits() {
-        let report = run_faults(true, 10, 3, None, None, None).unwrap();
+        let report = run_faults(quick(10, 3)).unwrap();
         let row = rates(scenario_line(&report, "desync-recovery"));
         let (alarm, desync, audit, recovered) = (row[0], row[1], row[2], row[3]);
         assert_eq!(alarm, 0.0, "{report}");
@@ -396,7 +436,7 @@ mod tests {
 
     #[test]
     fn crash_truncation_and_skew_alarm_but_recover() {
-        let report = run_faults(true, 8, 4, None, None, None).unwrap();
+        let report = run_faults(quick(8, 4)).unwrap();
         for name in ["reader-crash", "truncation", "clock-skew"] {
             let row = rates(scenario_line(&report, name));
             assert_eq!(row[0], 1.0, "{name} must alarm: {report}");
@@ -406,8 +446,8 @@ mod tests {
 
     #[test]
     fn matrix_is_deterministic_per_seed() {
-        let a = run_faults(true, 5, 7, None, None, None).unwrap();
-        let b = run_faults(true, 5, 7, None, None, None).unwrap();
+        let a = run_faults(quick(5, 7)).unwrap();
+        let b = run_faults(quick(5, 7)).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -74,9 +74,7 @@ fn detect(text: &str) -> Option<ArtifactKind> {
 }
 
 fn read_artifact(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("cannot read `{path}`: {e}"),
-    })
+    std::fs::read_to_string(path).map_err(|e| CliError::new(format!("cannot read `{path}`: {e}")))
 }
 
 /// Reads and summarizes a telemetry artifact.
@@ -92,12 +90,10 @@ pub fn run_inspect(path: &str) -> Result<String, CliError> {
         Some(ArtifactKind::Metrics) => Ok(summarize_metrics(path, &text)),
         Some(ArtifactKind::Trace) => Ok(summarize_trace(path, &text)),
         Some(ArtifactKind::Spans) => Ok(summarize_spans(path, &text)),
-        None => Err(CliError {
-            message: format!(
-                "`{path}` is neither a metrics snapshot (no `{METRICS_SCHEMA}` marker), \
-                 nor a JSONL event trace, nor a span tree, nor a `{POLICY_HEADER}` document"
-            ),
-        }),
+        None => Err(CliError::new(format!(
+            "`{path}` is neither a metrics snapshot (no `{METRICS_SCHEMA}` marker), \
+             nor a JSONL event trace, nor a span tree, nor a `{POLICY_HEADER}` document"
+        ))),
     }
 }
 
@@ -115,9 +111,7 @@ fn looks_like_policy(text: &str) -> bool {
 /// effective policy, independent of comments or section ordering in
 /// the source file.
 fn summarize_policy(path: &str, text: &str) -> Result<String, CliError> {
-    let policy = Policy::parse_named(text, path).map_err(|e| CliError {
-        message: e.to_string(),
-    })?;
+    let policy = Policy::parse_named(text, path).map_err(CliError::new)?;
     let mut out = format!(
         "{path}: policy document (site `{}`, valid)\neffective policy:\n",
         policy.site
@@ -388,27 +382,25 @@ fn summarize_spans(path: &str, text: &str) -> String {
 pub fn run_inspect_diff(path_a: &str, path_b: &str) -> Result<String, CliError> {
     let text_a = read_artifact(path_a)?;
     let text_b = read_artifact(path_b)?;
-    let unknown = |path: &str| CliError {
-        message: format!("`{path}` is not a recognized artifact (try `inspect {path}`)"),
+    let unknown = |path: &str| {
+        CliError::new(format!(
+            "`{path}` is not a recognized artifact (try `inspect {path}`)"
+        ))
     };
     let kind_a = detect(&text_a).ok_or_else(|| unknown(path_a))?;
     let kind_b = detect(&text_b).ok_or_else(|| unknown(path_b))?;
     if kind_a != kind_b {
-        return Err(CliError {
-            message: format!(
-                "artifact kinds differ: `{path_a}` is a {}, `{path_b}` is a {}",
-                kind_a.name(),
-                kind_b.name(),
-            ),
-        });
+        return Err(CliError::new(format!(
+            "artifact kinds differ: `{path_a}` is a {}, `{path_b}` is a {}",
+            kind_a.name(),
+            kind_b.name(),
+        )));
     }
     let (text_a, text_b) = if kind_a == ArtifactKind::Policy {
         let canonical = |path: &str, text: &str| {
             Policy::parse_named(text, path)
                 .map(|p| p.to_text())
-                .map_err(|e| CliError {
-                    message: e.to_string(),
-                })
+                .map_err(CliError::new)
         };
         (canonical(path_a, &text_a)?, canonical(path_b, &text_b)?)
     } else {

@@ -1,16 +1,23 @@
 //! Argument parsing for the `tagwatch-cli` binary.
 //!
 //! Hand-rolled on purpose: the workspace's dependency policy admits no
-//! argument-parsing crates, and the grammar is small enough that a
-//! direct parser is clearer than a DSL anyway.
+//! argument-parsing crates. Each command's grammar — the words that
+//! name it, its positional slots and its flags — is listed once, in
+//! `SPECS`. One left-to-right walk over argv reads that table and
+//! gives every token exactly one role, and `help` renders the same
+//! table, so the parser and the usage text cannot drift apart.
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
+
+use crate::faults::FaultsCmd;
+use crate::soak::SoakCmd;
 
 /// A fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `size trp <n> <m> <alpha>` — Eq. 2 frame size.
+    /// `size trp` — Eq. 2 frame size.
     SizeTrp {
         /// Population size.
         n: u64,
@@ -19,7 +26,7 @@ pub enum Command {
         /// Confidence.
         alpha: f64,
     },
-    /// `size utrp <n> <m> <alpha> [c]` — Eq. 3 frame size.
+    /// `size utrp` — Eq. 3 frame size.
     SizeUtrp {
         /// Population size.
         n: u64,
@@ -30,7 +37,7 @@ pub enum Command {
         /// Colluder sync budget (default 20).
         c: u64,
     },
-    /// `detection <n> <x> <f>` — evaluate g(n, x, f).
+    /// `detection` — evaluate g(n, x, f).
     Detection {
         /// Population size.
         n: u64,
@@ -39,7 +46,7 @@ pub enum Command {
         /// Frame size.
         f: u64,
     },
-    /// `simulate trp <n> <m> [--trials T] [--seed S]`.
+    /// `simulate trp` — Monte-Carlo TRP detection.
     SimulateTrp {
         /// Population size.
         n: u64,
@@ -50,7 +57,7 @@ pub enum Command {
         /// Root seed.
         seed: u64,
     },
-    /// `simulate utrp <n> <m> [--budget C] [--trials T] [--seed S]`.
+    /// `simulate utrp` — Monte-Carlo UTRP detection against colluders.
     SimulateUtrp {
         /// Population size.
         n: u64,
@@ -63,8 +70,7 @@ pub enum Command {
         /// Root seed.
         seed: u64,
     },
-    /// `identify <n> --steal K [--seed S]` — demo run of the
-    /// missing-tag identification protocol.
+    /// `identify` — demo run of the missing-tag identification protocol.
     Identify {
         /// Population size.
         n: u64,
@@ -73,82 +79,28 @@ pub enum Command {
         /// Root seed.
         seed: u64,
     },
-    /// `faults [--quick] [--trials T] [--seed S] [--metrics-out PATH]
-    /// [--policy FILE]` — run the named fault-scenario matrix and print
+    /// `faults` — run the named fault-scenario matrix and print
     /// per-scenario alarm / desync / recovery rates.
-    Faults {
-        /// Cap trials at a smoke-test size (CI).
-        quick: bool,
-        /// Trials per scenario.
-        trials: u64,
-        /// Root seed.
-        seed: u64,
-        /// Where to write the telemetry metrics snapshot, if anywhere.
-        metrics_out: Option<String>,
-        /// Where to write the Prometheus text exposition, if anywhere.
-        prom_out: Option<String>,
-        /// Path of a `tagwatch-policy v1` document the scenario
-        /// sessions run under (default: legacy session defaults).
-        policy: Option<String>,
-    },
-    /// `soak [--seed S] [--ticks T] [--protocol trp|utrp]
-    /// [--report PATH] [--metrics-out PATH] [--trace-out PATH]` — run
-    /// the long-horizon soak driver and print its digest; the JSON
-    /// report is written only with `--report`.
-    Soak {
-        /// Root seed (the whole run is deterministic in it).
-        seed: u64,
-        /// Monitoring ticks to drive.
-        ticks: u64,
-        /// Routine-tick protocol (`true` = UTRP, the default).
-        utrp: bool,
-        /// Where to write the JSON report, if anywhere.
-        report: Option<String>,
-        /// Where to write the telemetry metrics snapshot, if anywhere.
-        metrics_out: Option<String>,
-        /// Where to write the flight-recorder JSONL trace, if anywhere.
-        trace_out: Option<String>,
-        /// Where to write the Prometheus text exposition, if anywhere.
-        prom_out: Option<String>,
-        /// Where to write the span-tree JSONL, if anywhere.
-        spans_out: Option<String>,
-        /// Decorate spans with I/O-shell wall-clock nanoseconds. The
-        /// cost clock stays authoritative; this trades the span
-        /// artifact's byte-stability for latency readings.
-        spans_wall: bool,
-        /// Where to persist the durable write-ahead log, if anywhere.
-        /// The WAL is flushed before any non-zero exit, so an
-        /// invariant violation still leaves a resumable artifact.
-        wal_out: Option<String>,
-        /// Scripted crash: stop just before this tick (requires
-        /// `--wal-out`, which is what makes the kill survivable).
-        crash_at: Option<u64>,
-        /// Path of a `tagwatch-policy v1` document to run under. The
-        /// policy owns the protocol choice, so it conflicts with
-        /// `--protocol`.
-        policy: Option<String>,
-        /// Worker threads for the session's round engine (default 1 =
-        /// the scalar engine). Pure execution knob: the report and
-        /// every digest are byte-identical at any value.
-        threads: u64,
-    },
-    /// `recover <wal> [--report PATH]` — warm-restart a soak from its
-    /// WAL, re-verify every recorded tick, run it to completion, and
-    /// print the verified report digest.
+    Faults(FaultsCmd),
+    /// `soak` — run the long-horizon soak driver and print its digest.
+    Soak(SoakCmd),
+    /// `recover` — warm-restart a soak from its WAL, re-verify every
+    /// recorded tick, run it to completion, and print the verified
+    /// report digest.
     Recover {
         /// Path of the WAL to recover.
         path: String,
         /// Where to write the completed run's JSON report, if anywhere.
         report: Option<String>,
     },
-    /// `inspect <path>` — summarize an exported telemetry artifact (a
+    /// `inspect` — summarize an exported telemetry artifact (a
     /// metrics snapshot, a JSONL event trace, a span tree, or a policy
     /// document, auto-detected).
     Inspect {
         /// Path of the artifact to summarize.
         path: String,
     },
-    /// `inspect diff <a> <b>` — compare two artifacts of the same kind
+    /// `inspect diff` — compare two artifacts of the same kind
     /// and report the first divergence (event, span, or metric).
     InspectDiff {
         /// Path of the baseline artifact.
@@ -156,7 +108,7 @@ pub enum Command {
         /// Path of the artifact to compare against it.
         b: String,
     },
-    /// `registry new <n> <m> <alpha>` — print a fresh snapshot.
+    /// `registry new` — print a fresh snapshot.
     RegistryNew {
         /// Population size (sequential IDs).
         n: u64,
@@ -181,6 +133,16 @@ pub struct CliError {
     pub message: String,
 }
 
+impl CliError {
+    /// An error whose message is `message` rendered, e.g. a library
+    /// error passed through `map_err(CliError::new)`.
+    pub(crate) fn new(message: impl fmt::Display) -> Self {
+        CliError {
+            message: message.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.message)
@@ -189,287 +151,430 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
-fn err(message: impl Into<String>) -> CliError {
-    CliError {
-        message: message.into(),
+/// One flag a command reads: its usage, the flag as typed and then the
+/// placeholder of its value if it takes one (`--seed S`, or `--quick`
+/// for a switch), and its one-line help.
+struct Flag(&'static str, &'static str);
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.0.split_once(' ').map_or(self.0, |(name, _)| name)
+    }
+
+    fn takes_value(&self) -> bool {
+        self.0.contains(' ')
     }
 }
 
-fn want<T: std::str::FromStr>(args: &[String], idx: usize, name: &str) -> Result<T, CliError> {
-    args.get(idx)
-        .ok_or_else(|| err(format!("missing <{name}>")))?
-        .parse()
-        .map_err(|_| err(format!("bad <{name}>: `{}`", args[idx])))
+/// One command's grammar.
+struct Spec {
+    /// The words that name the command, e.g. `size trp`.
+    words: &'static str,
+    /// Positional slots in order: `<x>` is required, `[x]` optional.
+    slots: &'static str,
+    /// The flags the command reads.
+    flags: &'static [Flag],
+    /// One-line help.
+    about: &'static str,
 }
 
-fn flag(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| err(format!("{name} needs a value")))?
-            .parse()
-            .map_err(|_| err(format!("bad {name} value"))),
-        None => Ok(default),
-    }
-}
+const SEED: Flag = Flag("--seed S", "root seed");
+const SIM_TRIALS: Flag = Flag("--trials T", "Monte-Carlo trials");
+const METRICS_OUT: Flag = Flag("--metrics-out PATH", "write the metrics snapshot");
+const PROM_OUT: Flag = Flag("--prom-out PATH", "write the metrics as Prometheus text");
+const REPORT: Flag = Flag("--report PATH", "write the JSON report there");
 
-fn opt_flag(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
-    args.iter()
-        .position(|a| a == name)
-        .map(|i| {
-            args.get(i + 1)
-                .ok_or_else(|| err(format!("{name} needs a value")))?
-                .parse()
-                .map_err(|_| err(format!("bad {name} value")))
-        })
-        .transpose()
-}
-
-fn path_flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    args.iter()
-        .position(|a| a == name)
-        .map(|i| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| err(format!("{name} needs a path")))
-        })
-        .transpose()
-}
-
-/// `(flag, takes a value)`: the flags one command reads.
-type Flags = &'static [(&'static str, bool)];
-
-const SIMULATE_TRP_FLAGS: Flags = &[("--trials", true), ("--seed", true)];
-const SIMULATE_UTRP_FLAGS: Flags = &[("--budget", true), ("--trials", true), ("--seed", true)];
-const IDENTIFY_FLAGS: Flags = &[("--steal", true), ("--seed", true)];
-const FAULTS_FLAGS: Flags = &[
-    ("--quick", false),
-    ("--trials", true),
-    ("--seed", true),
-    ("--metrics-out", true),
-    ("--prom-out", true),
-    ("--policy", true),
+/// Every command the CLI knows, in `help` order.
+const SPECS: &[Spec] = &[
+    Spec {
+        words: "size trp",
+        slots: "<n> <m> <alpha>",
+        flags: &[],
+        about: "Eq. 2 frame size",
+    },
+    Spec {
+        words: "size utrp",
+        slots: "<n> <m> <alpha> [c]",
+        flags: &[],
+        about: "Eq. 3 frame size (+8 pad) against colluders with sync budget c",
+    },
+    Spec {
+        words: "detection",
+        slots: "<n> <x> <f>",
+        flags: &[],
+        about: "evaluate g(n, x, f)",
+    },
+    Spec {
+        words: "simulate trp",
+        slots: "<n> <m>",
+        flags: &[SIM_TRIALS, SEED],
+        about: "Monte-Carlo TRP detection when m + 1 tags are stolen",
+    },
+    Spec {
+        words: "simulate utrp",
+        slots: "<n> <m>",
+        flags: &[Flag("--budget C", "colluder sync budget"), SIM_TRIALS, SEED],
+        about: "Monte-Carlo UTRP detection against best-strategy colluders",
+    },
+    Spec {
+        words: "identify",
+        slots: "<n>",
+        flags: &[Flag("--steal K", "tags stolen before identification"), SEED],
+        about: "run missing-tag identification",
+    },
+    Spec {
+        words: "faults",
+        slots: "",
+        flags: &[
+            Flag("--quick", "cap trials at a smoke-test size"),
+            Flag("--trials T", "trials per scenario"),
+            SEED,
+            METRICS_OUT,
+            PROM_OUT,
+            Flag("--policy FILE", "use a policy document's desync window"),
+        ],
+        about: "fault-scenario matrix (alarm / desync / recovery rates)",
+    },
+    Spec {
+        words: "soak",
+        slots: "",
+        flags: &[
+            SEED,
+            Flag("--ticks T", "monitoring ticks to drive"),
+            Flag("--protocol trp|utrp", "routine-tick protocol"),
+            REPORT,
+            METRICS_OUT,
+            Flag("--trace-out PATH", "write the flight-recorder JSONL trace"),
+            PROM_OUT,
+            Flag("--spans-out PATH", "write the cost-clock span tree"),
+            Flag("--spans-wall", "add wall time to spans (not byte-stable)"),
+            Flag("--wal-out PATH", "journal the run to a write-ahead log"),
+            Flag("--crash-at T", "stop before tick T (needs --wal-out)"),
+            Flag("--policy FILE", "run under a policy document"),
+        ],
+        about: "long-horizon soak: Markov channel, scripted incidents, invariant checks",
+    },
+    Spec {
+        words: "recover",
+        slots: "<wal>",
+        flags: &[REPORT],
+        about: "resume a soak from its WAL, verify the replayed ticks and finish the run",
+    },
+    Spec {
+        words: "inspect",
+        slots: "<path>",
+        flags: &[],
+        about: "summarize a metrics snapshot, event trace, span tree or policy document",
+    },
+    Spec {
+        words: "inspect diff",
+        slots: "<a> <b>",
+        flags: &[],
+        about: "report the first divergence between two artifacts of the same kind",
+    },
+    Spec {
+        words: "registry new",
+        slots: "<n> <m> <alpha>",
+        flags: &[],
+        about: "print a fresh registry snapshot",
+    },
+    Spec {
+        words: "registry info",
+        slots: "",
+        flags: &[],
+        about: "summarize a registry snapshot read from stdin",
+    },
+    Spec {
+        words: "help",
+        slots: "",
+        flags: &[],
+        about: "print this text",
+    },
 ];
-const SOAK_FLAGS: Flags = &[
-    ("--seed", true),
-    ("--ticks", true),
-    ("--protocol", true),
-    ("--report", true),
-    ("--metrics-out", true),
-    ("--trace-out", true),
-    ("--prom-out", true),
-    ("--spans-out", true),
-    ("--spans-wall", false),
-    ("--wal-out", true),
-    ("--crash-at", true),
-    ("--policy", true),
-    ("--threads", true),
-];
-const RECOVER_FLAGS: Flags = &[("--report", true)];
 
-/// Rejects every `--…` argument in `args[from..]` that is not in
-/// `known`, and every flag given twice. The value after a flag that
-/// takes one is skipped, so a path may start with `--`.
-fn check_flags(args: &[String], from: usize, known: Flags) -> Result<(), CliError> {
-    let mut seen: Vec<&str> = Vec::new();
-    let mut rest = args.iter().skip(from);
-    while let Some(arg) = rest.next() {
-        if !arg.starts_with("--") {
-            continue;
+/// Command lines `help` shows as examples.
+const EXAMPLES: &[&str] = &[
+    "size trp 1000 10 0.95",
+    "simulate utrp 500 5 --budget 20 --trials 1000",
+    "soak --ticks 200 --wal-out results/run.wal --crash-at 137",
+    "recover results/run.wal --report results/recovered.json",
+    "soak --ticks 200 --prom-out results/soak.prom --spans-out results/spans.jsonl",
+    "inspect diff results/spans_a.jsonl results/spans_b.jsonl",
+];
+
+/// `words slots [--flag V]...`: one command's usage line.
+fn usage(spec: &Spec) -> String {
+    let flags: String = spec.flags.iter().map(|f| format!(" [{}]", f.0)).collect();
+    format!("{} {}", spec.words, spec.slots)
+        .trim_end()
+        .to_owned()
+        + &flags
+}
+
+/// The `help` text, rendered from the grammar table.
+#[must_use]
+pub(crate) fn help() -> String {
+    let mut out = String::from(
+        "tagwatch-cli - missing-RFID-tag monitoring toolbox (Tan, Sheng & Li, ICDCS 2008)\n\n\
+         USAGE:\n",
+    );
+    for spec in SPECS {
+        let head = format!("{} {}", spec.words, spec.slots);
+        out.push_str(&format!(
+            "  tagwatch-cli {}\n      {}\n",
+            head.trim_end(),
+            spec.about
+        ));
+        for flag in spec.flags {
+            out.push_str(&format!("      {:<20} {}\n", flag.0, flag.1));
         }
-        let Some(&(name, takes_value)) = known.iter().find(|(name, _)| name == arg) else {
-            return Err(err(format!(
-                "unknown flag `{arg}` for `{}` (try `tagwatch-cli help`)",
-                args[0]
+    }
+    out.push_str("\nEXAMPLES:\n");
+    for example in EXAMPLES {
+        out.push_str(&format!("  tagwatch-cli {example}\n"));
+    }
+    out
+}
+
+/// The roles one walk gave a command's tokens: each flag given, with
+/// its value (`None` for a switch), and each positional value, under
+/// its slot (`<n>`, `[c]`).
+struct Walk<'a> {
+    spec: &'static Spec,
+    roles: Vec<(&'static str, Option<&'a str>)>,
+}
+
+/// Walks `tokens` (argv after the command words) left to right. Each
+/// token is one of the command's flags, the value of the flag before
+/// it, or the next positional slot; anything else fails, and the error
+/// names it. A flag's value is never one of the command's own flag
+/// names, so `--report --ticks 5` reports `--report` as missing its
+/// value, but any other token may be a value, even `--odd-name.json`.
+/// Where no flag is pending, a command with flags reads a `--` token as
+/// a flag, so a typo fails by name instead of filling a slot; a command
+/// without flags reads it as a positional (`inspect --odd-name.json`).
+fn walk<'a>(spec: &'static Spec, tokens: &'a [String]) -> Result<Walk<'a>, CliError> {
+    let find = |token: &str| spec.flags.iter().find(|f| f.name() == token);
+    let mut slots = spec.slots.split_whitespace();
+    let mut roles = Vec::new();
+    let mut rest = tokens.iter().map(String::as_str);
+    while let Some(token) = rest.next() {
+        if let Some(flag) = find(token) {
+            if roles.iter().any(|(role, _)| *role == flag.name()) {
+                return Err(CliError::new(format!("{token} given more than once")));
+            }
+            let value = if flag.takes_value() {
+                let value = rest.next().filter(|value| find(value).is_none());
+                Some(value.ok_or_else(|| CliError::new(format!("{token} needs a value")))?)
+            } else {
+                None
+            };
+            roles.push((flag.name(), value));
+        } else if token.starts_with("--") && !spec.flags.is_empty() {
+            return Err(CliError::new(format!(
+                "unknown flag `{token}` for `{}` (try `tagwatch-cli help`)",
+                spec.words
             )));
-        };
-        if seen.contains(&name) {
-            return Err(err(format!("{name} given more than once")));
-        }
-        seen.push(name);
-        if takes_value {
-            rest.next();
+        } else if let Some(slot) = slots.next() {
+            roles.push((slot, Some(token)));
+        } else {
+            return Err(CliError::new(format!(
+                "unexpected argument `{token}` for `{}` (usage: {})",
+                spec.words,
+                usage(spec)
+            )));
         }
     }
-    Ok(())
+    if let Some(slot) = slots.next().filter(|s| s.starts_with('<')) {
+        let usage = usage(spec);
+        return Err(CliError::new(format!("missing {slot} (usage: {usage})")));
+    }
+    Ok(Walk { spec, roles })
+}
+
+impl Walk<'_> {
+    /// `Some` with its value (`None` for a switch) if `role`, a flag or
+    /// a slot of the spec, was given.
+    fn given(&self, role: &str) -> Option<Option<&str>> {
+        let listed = self.spec.flags.iter().any(|f| f.name() == role)
+            || self.spec.slots.split_whitespace().any(|slot| slot == role);
+        assert!(
+            listed,
+            "`{}` reads {role}, not in its spec",
+            self.spec.words
+        );
+        self.roles.iter().find(|(r, _)| *r == role).map(|(_, v)| *v)
+    }
+
+    /// The value given for `role`, as a `T`.
+    fn get<T: FromStr>(&self, role: &str) -> Result<Option<T>, CliError> {
+        self.given(role)
+            .flatten()
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::new(format!("bad {role} value: `{v}`")))
+            })
+            .transpose()
+    }
+
+    /// The value of a required slot, which the walk has checked is given.
+    fn need<T: FromStr>(&self, slot: &str) -> Result<T, CliError> {
+        Ok(self.get(slot)?.expect("the walk fills every required slot"))
+    }
+
+    /// Whether the switch `flag` was given.
+    fn switch(&self, flag: &str) -> bool {
+        self.given(flag).is_some()
+    }
 }
 
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a user-facing [`CliError`] for unknown commands, for a flag
-/// the command does not read or a flag given twice, and for malformed
-/// values.
+/// Returns a user-facing [`CliError`], naming the offending token, for
+/// an unknown command, a flag the command does not read or one given
+/// twice, a flag without its value, a missing or surplus positional,
+/// a malformed value, and the flag combinations `soak` refuses.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let Some(cmd) = args.first().map(String::as_str) else {
+    let word = |i: usize| match (i, args.get(i).map(String::as_str)) {
+        (0, Some("--help" | "-h")) => Some("help"),
+        (_, word) => word,
+    };
+    let Some(first) = word(0) else {
         return Ok(Command::Help);
     };
-    // Checked before any value is read: a mistyped flag must not fall
-    // back to a default and run (`--reprot x.json` would drop the
-    // report). Positional paths of `inspect` are skipped, since a path
-    // may start with `--`.
-    let sub = args.get(1).map(String::as_str);
-    let (from, known) = match (cmd, sub) {
-        ("simulate", Some("utrp")) => (1, SIMULATE_UTRP_FLAGS),
-        ("simulate", _) => (1, SIMULATE_TRP_FLAGS),
-        ("identify", _) => (1, IDENTIFY_FLAGS),
-        ("faults", _) => (1, FAULTS_FLAGS),
-        ("soak", _) => (1, SOAK_FLAGS),
-        ("recover", _) => (1, RECOVER_FLAGS),
-        ("inspect", Some("diff")) => (4, &[][..]),
-        ("inspect", _) => (2, &[][..]),
-        ("help" | "--help" | "-h" | "size" | "detection" | "registry", _) => (1, &[][..]),
-        // An unknown command is reported as such below.
-        _ => (args.len(), &[][..]),
+    let Some(spec) = SPECS
+        .iter()
+        .filter(|spec| {
+            spec.words
+                .split(' ')
+                .enumerate()
+                .all(|(i, w)| word(i) == Some(w))
+        })
+        .max_by_key(|spec| spec.words.len())
+    else {
+        let group: Vec<String> = SPECS
+            .iter()
+            .filter(|spec| spec.words.split(' ').next() == Some(first))
+            .map(usage)
+            .collect();
+        return Err(CliError::new(match (group.is_empty(), word(1)) {
+            (true, _) => format!("unknown command `{first}` (try `tagwatch-cli help`)"),
+            (false, Some(sub)) => format!(
+                "unknown `{first}` subcommand `{sub}` (usage: {})",
+                group.join(" | ")
+            ),
+            (false, None) => format!("usage: {}", group.join(" | ")),
+        }));
     };
-    check_flags(args, from, known)?;
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "size" => match args.get(1).map(String::as_str) {
-            Some("trp") => Ok(Command::SizeTrp {
-                n: want(args, 2, "n")?,
-                m: want(args, 3, "m")?,
-                alpha: want(args, 4, "alpha")?,
-            }),
-            Some("utrp") => Ok(Command::SizeUtrp {
-                n: want(args, 2, "n")?,
-                m: want(args, 3, "m")?,
-                alpha: want(args, 4, "alpha")?,
-                c: if args.len() > 5 {
-                    want(args, 5, "c")?
-                } else {
-                    20
-                },
-            }),
-            _ => Err(err("usage: size trp|utrp <n> <m> <alpha> [c]")),
+    let a = walk(spec, &args[spec.words.split(' ').count()..])?;
+    Ok(match spec.words {
+        "help" => Command::Help,
+        "size trp" => Command::SizeTrp {
+            n: a.need("<n>")?,
+            m: a.need("<m>")?,
+            alpha: a.need("<alpha>")?,
         },
-        "detection" => Ok(Command::Detection {
-            n: want(args, 1, "n")?,
-            x: want(args, 2, "x")?,
-            f: want(args, 3, "f")?,
-        }),
-        "simulate" => {
-            let trials = flag(args, "--trials", 500)?;
-            let seed = flag(args, "--seed", 1)?;
-            match args.get(1).map(String::as_str) {
-                Some("trp") => Ok(Command::SimulateTrp {
-                    n: want(args, 2, "n")?,
-                    m: want(args, 3, "m")?,
-                    trials,
-                    seed,
-                }),
-                Some("utrp") => Ok(Command::SimulateUtrp {
-                    n: want(args, 2, "n")?,
-                    m: want(args, 3, "m")?,
-                    budget: flag(args, "--budget", 20)?,
-                    trials,
-                    seed,
-                }),
-                _ => Err(err(
-                    "usage: simulate trp|utrp <n> <m> [--budget C] [--trials T] [--seed S]",
-                )),
-            }
+        "size utrp" => Command::SizeUtrp {
+            n: a.need("<n>")?,
+            m: a.need("<m>")?,
+            alpha: a.need("<alpha>")?,
+            c: a.get("[c]")?.unwrap_or(20),
+        },
+        "detection" => Command::Detection {
+            n: a.need("<n>")?,
+            x: a.need("<x>")?,
+            f: a.need("<f>")?,
+        },
+        "simulate trp" => Command::SimulateTrp {
+            n: a.need("<n>")?,
+            m: a.need("<m>")?,
+            trials: a.get("--trials")?.unwrap_or(500),
+            seed: a.get("--seed")?.unwrap_or(1),
+        },
+        "simulate utrp" => Command::SimulateUtrp {
+            n: a.need("<n>")?,
+            m: a.need("<m>")?,
+            budget: a.get("--budget")?.unwrap_or(20),
+            trials: a.get("--trials")?.unwrap_or(500),
+            seed: a.get("--seed")?.unwrap_or(1),
+        },
+        "identify" => Command::Identify {
+            n: a.need("<n>")?,
+            steal: a.get("--steal")?.unwrap_or(5),
+            seed: a.get("--seed")?.unwrap_or(1),
+        },
+        "faults" => {
+            let d = FaultsCmd::default();
+            Command::Faults(FaultsCmd {
+                quick: a.switch("--quick") || d.quick,
+                trials: a.get("--trials")?.unwrap_or(d.trials),
+                seed: a.get("--seed")?.unwrap_or(d.seed),
+                metrics_out: a.get("--metrics-out")?.or(d.metrics_out),
+                prom_out: a.get("--prom-out")?.or(d.prom_out),
+                policy: a.get("--policy")?.or(d.policy),
+            })
         }
-        "faults" => Ok(Command::Faults {
-            quick: args.iter().any(|a| a == "--quick"),
-            trials: flag(args, "--trials", 100)?,
-            seed: flag(args, "--seed", 1)?,
-            metrics_out: path_flag(args, "--metrics-out")?,
-            prom_out: path_flag(args, "--prom-out")?,
-            policy: path_flag(args, "--policy")?,
-        }),
         "soak" => {
-            let utrp = match args.iter().position(|a| a == "--protocol") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
+            let d = SoakCmd::default();
+            let protocol: Option<String> = a.get("--protocol")?;
+            let soak = SoakCmd {
+                seed: a.get("--seed")?.unwrap_or(d.seed),
+                ticks: a.get("--ticks")?.unwrap_or(d.ticks),
+                utrp: match protocol.as_deref() {
+                    None => d.utrp,
                     Some("trp") => false,
                     Some("utrp") => true,
-                    _ => return Err(err("--protocol must be `trp` or `utrp`")),
+                    Some(other) => {
+                        return Err(CliError::new(format!(
+                            "--protocol must be `trp` or `utrp`, not `{other}`"
+                        )))
+                    }
                 },
-                None => true,
+                report: a.get("--report")?.or(d.report),
+                metrics_out: a.get("--metrics-out")?.or(d.metrics_out),
+                trace_out: a.get("--trace-out")?.or(d.trace_out),
+                prom_out: a.get("--prom-out")?.or(d.prom_out),
+                spans_out: a.get("--spans-out")?.or(d.spans_out),
+                spans_wall: a.switch("--spans-wall") || d.spans_wall,
+                wal_out: a.get("--wal-out")?.or(d.wal_out),
+                crash_at: a.get("--crash-at")?.or(d.crash_at),
+                policy: a.get("--policy")?.or(d.policy),
             };
-            let wal_out = path_flag(args, "--wal-out")?;
-            let crash_at = opt_flag(args, "--crash-at")?;
-            if crash_at.is_some() && wal_out.is_none() {
-                return Err(err(
+            if soak.crash_at.is_some() && soak.wal_out.is_none() {
+                return Err(CliError::new(
                     "--crash-at needs --wal-out (the WAL is what survives the kill)",
                 ));
             }
-            let policy = path_flag(args, "--policy")?;
-            if policy.is_some() && args.iter().any(|a| a == "--protocol") {
-                return Err(err(
+            if soak.policy.is_some() && protocol.is_some() {
+                return Err(CliError::new(
                     "--policy conflicts with --protocol (the policy document declares the protocol)",
                 ));
             }
-            let threads = flag(args, "--threads", 1)?;
-            if threads == 0 {
-                return Err(err("--threads must be at least 1"));
-            }
-            if threads > 1 && wal_out.is_some() {
-                return Err(err(
-                    "--threads applies to in-memory runs only (durable WAL runs are single-threaded)",
-                ));
-            }
-            Ok(Command::Soak {
-                seed: flag(args, "--seed", 1)?,
-                ticks: flag(args, "--ticks", 5000)?,
-                utrp,
-                report: path_flag(args, "--report")?,
-                metrics_out: path_flag(args, "--metrics-out")?,
-                trace_out: path_flag(args, "--trace-out")?,
-                prom_out: path_flag(args, "--prom-out")?,
-                spans_out: path_flag(args, "--spans-out")?,
-                spans_wall: args.iter().any(|a| a == "--spans-wall"),
-                wal_out,
-                crash_at,
-                policy,
-                threads,
-            })
+            Command::Soak(soak)
         }
-        "recover" => Ok(Command::Recover {
-            path: args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .cloned()
-                .ok_or_else(|| err("usage: recover <wal> [--report PATH]"))?,
-            report: path_flag(args, "--report")?,
-        }),
-        "inspect" => match args.get(1).map(String::as_str) {
-            Some("diff") => Ok(Command::InspectDiff {
-                a: args
-                    .get(2)
-                    .cloned()
-                    .ok_or_else(|| err("usage: inspect diff <a> <b>"))?,
-                b: args
-                    .get(3)
-                    .cloned()
-                    .ok_or_else(|| err("usage: inspect diff <a> <b>"))?,
-            }),
-            Some(path) => Ok(Command::Inspect {
-                path: path.to_owned(),
-            }),
-            None => Err(err("usage: inspect <path> | inspect diff <a> <b>")),
+        "recover" => Command::Recover {
+            path: a.need("<wal>")?,
+            report: a.get("--report")?,
         },
-        "identify" => Ok(Command::Identify {
-            n: want(args, 1, "n")?,
-            steal: flag(args, "--steal", 5)?,
-            seed: flag(args, "--seed", 1)?,
-        }),
-        "registry" => match args.get(1).map(String::as_str) {
-            Some("new") => Ok(Command::RegistryNew {
-                n: want(args, 2, "n")?,
-                m: want(args, 3, "m")?,
-                alpha: want(args, 4, "alpha")?,
-            }),
-            Some("info") => Ok(Command::RegistryInfo {
-                text: String::new(),
-            }),
-            _ => Err(err("usage: registry new <n> <m> <alpha> | registry info")),
+        "inspect" => Command::Inspect {
+            path: a.need("<path>")?,
         },
-        other => Err(err(format!(
-            "unknown command `{other}` (try `tagwatch-cli help`)"
-        ))),
-    }
+        "inspect diff" => Command::InspectDiff {
+            a: a.need("<a>")?,
+            b: a.need("<b>")?,
+        },
+        "registry new" => Command::RegistryNew {
+            n: a.need("<n>")?,
+            m: a.need("<m>")?,
+            alpha: a.need("<alpha>")?,
+        },
+        "registry info" => Command::RegistryInfo {
+            text: String::new(),
+        },
+        other => unreachable!("no parse arm for `{other}`"),
+    })
 }
 
 #[cfg(test)]
@@ -583,30 +688,30 @@ mod tests {
     fn parses_faults() {
         assert_eq!(
             parse(&argv("faults --quick --trials 10 --seed 3")).unwrap(),
-            Command::Faults {
+            Command::Faults(FaultsCmd {
                 quick: true,
                 trials: 10,
                 seed: 3,
                 metrics_out: None,
                 prom_out: None,
                 policy: None,
-            }
+            })
         );
         // Defaults.
         assert_eq!(
             parse(&argv("faults")).unwrap(),
-            Command::Faults {
+            Command::Faults(FaultsCmd {
                 quick: false,
                 trials: 100,
                 seed: 1,
                 metrics_out: None,
                 prom_out: None,
                 policy: None,
-            }
+            })
         );
         assert!(matches!(
             parse(&argv("faults --metrics-out m.json")).unwrap(),
-            Command::Faults { metrics_out: Some(p), .. } if p == "m.json"
+            Command::Faults(FaultsCmd { metrics_out: Some(p), .. }) if p == "m.json"
         ));
         let e = parse(&argv("faults --metrics-out")).unwrap_err();
         assert!(e.message.contains("--metrics-out"));
@@ -619,7 +724,7 @@ mod tests {
                 "soak --seed 7 --ticks 800 --protocol trp --report out.json"
             ))
             .unwrap(),
-            Command::Soak {
+            Command::Soak(SoakCmd {
                 seed: 7,
                 ticks: 800,
                 utrp: false,
@@ -632,13 +737,12 @@ mod tests {
                 wal_out: None,
                 crash_at: None,
                 policy: None,
-                threads: 1,
-            }
+            })
         );
         // Defaults: seed 1, 5000 UTRP ticks, no report file.
         assert_eq!(
             parse(&argv("soak")).unwrap(),
-            Command::Soak {
+            Command::Soak(SoakCmd {
                 seed: 1,
                 ticks: 5000,
                 utrp: true,
@@ -651,12 +755,11 @@ mod tests {
                 wal_out: None,
                 crash_at: None,
                 policy: None,
-                threads: 1,
-            }
+            })
         );
         assert!(matches!(
             parse(&argv("soak --metrics-out m.json --trace-out t.jsonl")).unwrap(),
-            Command::Soak { metrics_out: Some(m), trace_out: Some(t), .. }
+            Command::Soak(SoakCmd { metrics_out: Some(m), trace_out: Some(t), .. })
                 if m == "m.json" && t == "t.jsonl"
         ));
         let e = parse(&argv("soak --protocol carrier-pigeon")).unwrap_err();
@@ -671,15 +774,15 @@ mod tests {
     fn parses_soak_durability_flags() {
         assert!(matches!(
             parse(&argv("soak --wal-out run.wal")).unwrap(),
-            Command::Soak { wal_out: Some(w), crash_at: None, .. } if w == "run.wal"
+            Command::Soak(SoakCmd { wal_out: Some(w), crash_at: None, .. }) if w == "run.wal"
         ));
         assert!(matches!(
             parse(&argv("soak --wal-out run.wal --crash-at 137")).unwrap(),
-            Command::Soak {
+            Command::Soak(SoakCmd {
                 wal_out: Some(_),
                 crash_at: Some(137),
                 ..
-            }
+            })
         ));
         // A crash without a WAL destination would lose the run.
         let e = parse(&argv("soak --crash-at 137")).unwrap_err();
@@ -694,11 +797,11 @@ mod tests {
     fn parses_policy_flags() {
         assert!(matches!(
             parse(&argv("soak --policy site.twp")).unwrap(),
-            Command::Soak { policy: Some(p), .. } if p == "site.twp"
+            Command::Soak(SoakCmd { policy: Some(p), .. }) if p == "site.twp"
         ));
         assert!(matches!(
             parse(&argv("faults --quick --policy site.twp")).unwrap(),
-            Command::Faults { policy: Some(p), .. } if p == "site.twp"
+            Command::Faults(FaultsCmd { policy: Some(p), .. }) if p == "site.twp"
         ));
         // The policy document owns the protocol choice.
         let e = parse(&argv("soak --policy site.twp --protocol trp")).unwrap_err();
@@ -760,19 +863,19 @@ mod tests {
     fn parses_observability_out_flags() {
         assert!(matches!(
             parse(&argv("soak --prom-out m.prom --spans-out s.jsonl")).unwrap(),
-            Command::Soak { prom_out: Some(p), spans_out: Some(s), .. }
+            Command::Soak(SoakCmd { prom_out: Some(p), spans_out: Some(s), .. })
                 if p == "m.prom" && s == "s.jsonl"
         ));
         assert!(matches!(
             parse(&argv("faults --quick --prom-out f.prom")).unwrap(),
-            Command::Faults { prom_out: Some(p), .. } if p == "f.prom"
+            Command::Faults(FaultsCmd { prom_out: Some(p), .. }) if p == "f.prom"
         ));
         assert!(matches!(
             parse(&argv("soak --spans-out s.jsonl --spans-wall")).unwrap(),
-            Command::Soak {
+            Command::Soak(SoakCmd {
                 spans_wall: true,
                 ..
-            }
+            })
         ));
         let e = parse(&argv("soak --prom-out")).unwrap_err();
         assert!(e.message.contains("--prom-out"));
@@ -781,9 +884,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_flags_the_command_does_not_read() {
-        // A typo must not fall back to the default seed and run.
-        for (line, flag) in [
+    fn rejects_tokens_the_command_does_not_read() {
+        // A typo must not fall back to the default seed and run, and a
+        // surplus positional must not be dropped while the command runs.
+        for (line, token) in [
             ("soak --seeed 7", "--seeed"),
             ("soak --bogus", "--bogus"),
             ("soak --ticks 5 --help", "--help"),
@@ -794,19 +898,37 @@ mod tests {
             ("inspect a.json --report out.json", "--report"),
             ("inspect diff a b --quick", "--quick"),
             ("size trp 1000 10 0.95 --seed 3", "--seed"),
+            ("soak 7 --ticks 5", "7"),
+            ("size trp 1000 10 0.95 oops", "oops"),
+            ("detection 500 6 700 9", "9"),
+            ("simulate trp 300 5 9 --trials 10", "9"),
+            ("identify 200 300 --steal 3", "300"),
+            ("registry new 10 2 0.9 extra", "extra"),
+            ("recover a.wal b.wal", "b.wal"),
+            ("inspect a.json b.json", "b.json"),
+            ("inspect diff a b c", "c"),
+            ("help me", "me"),
         ] {
             let e = parse(&argv(line)).unwrap_err();
-            assert!(e.message.contains(&format!("`{flag}`")), "{line}: {e}");
+            assert!(e.message.contains(&format!("`{token}`")), "{line}: {e}");
         }
         let e = parse(&argv("soak --ticks 5 --ticks 6")).unwrap_err();
         assert!(e.message.contains("--ticks given more than once"), "{e}");
         let e = parse(&argv("faults --quick --quick")).unwrap_err();
         assert!(e.message.contains("--quick given more than once"), "{e}");
+        // A flag's value is never one of the command's own flags.
+        for line in [
+            "soak --report --ticks 5",
+            "soak --ticks 5 --report --protocol",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.message.contains("--report needs a value"), "{line}: {e}");
+        }
         // A flag's value is not itself a flag, and a path argument of
         // `inspect` may start with `--`; an unknown command stays one.
         assert!(matches!(
             parse(&argv("soak --report --odd-name.json")).unwrap(),
-            Command::Soak { report: Some(r), .. } if r == "--odd-name.json"
+            Command::Soak(SoakCmd { report: Some(r), .. }) if r == "--odd-name.json"
         ));
         assert!(matches!(
             parse(&argv("inspect --odd-name.json")).unwrap(),
@@ -814,6 +936,29 @@ mod tests {
         ));
         let e = parse(&argv("frobnicate --seed 1")).unwrap_err();
         assert!(e.message.contains("unknown command"), "{e}");
+    }
+
+    #[test]
+    fn help_renders_every_command_and_flag_in_the_table() {
+        let text = help();
+        for spec in SPECS {
+            let head = format!("{} {}", spec.words, spec.slots);
+            let section = text
+                .split("\n  tagwatch-cli ")
+                .find(|s| s.lines().next() == Some(head.trim_end()))
+                .unwrap_or_else(|| panic!("help has no `{head}` section:\n{text}"));
+            for flag in spec.flags {
+                assert!(
+                    section.lines().any(|l| l.trim_start().starts_with(flag.0)),
+                    "help for `{}` misses {}:\n{section}",
+                    spec.words,
+                    flag.0
+                );
+            }
+        }
+        for example in EXAMPLES {
+            assert!(parse(&argv(example)).is_ok(), "example `{example}`");
+        }
     }
 
     #[test]
@@ -830,5 +975,76 @@ mod tests {
             parse(&argv("registry info")).unwrap(),
             Command::RegistryInfo { .. }
         ));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Values and paths, including ones that look like flags.
+        const VALUES: &[&str] = &[
+            "0",
+            "7",
+            "20",
+            "0.95",
+            "trp",
+            "utrp",
+            "a.json",
+            "out/run.wal",
+            "--odd.json",
+            "",
+        ];
+
+        /// Every word and flag in the table, the values, and junk.
+        fn vocabulary() -> Vec<&'static str> {
+            let mut tokens: Vec<&str> = SPECS.iter().flat_map(|s| s.words.split(' ')).collect();
+            tokens.extend(SPECS.iter().flat_map(|s| s.flags.iter().map(Flag::name)));
+            tokens.extend(VALUES);
+            tokens.extend(["--junk", "--help", "-h"]);
+            tokens
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// `parse` never panics, and a token appended to an argv
+            /// that parses has no role left, so it fails by name. Most
+            /// draws add one of the command's own flags, with a value
+            /// when it takes one, so that many argv parse.
+            #[test]
+            fn every_token_gets_a_role_or_an_error(
+                command in 0usize..SPECS.len() + 4,
+                positionals in 0usize..10,
+                draws in prop::collection::vec(any::<u64>(), 0..6),
+            ) {
+                let anywhere = vocabulary();
+                let spec = SPECS.get(command);
+                let flags = spec.map_or(&[][..], |s| s.flags);
+                let mut args = spec.map_or_else(Vec::new, |s| argv(s.words));
+                // Half the time, exactly as many values as the slots.
+                let slots = spec.map_or(0, |s| s.slots.split_whitespace().count());
+                let positionals = if positionals < 5 { positionals } else { slots };
+                args.extend((0..positionals).map(|_| "7".to_owned()));
+                for draw in draws {
+                    let value = VALUES[(draw >> 32) as usize % VALUES.len()].to_owned();
+                    match flags.get((draw >> 3) as usize % flags.len().max(1)) {
+                        Some(flag) if draw % 8 != 0 => {
+                            args.push(flag.name().to_owned());
+                            if flag.takes_value() {
+                                args.push(value);
+                            }
+                        }
+                        _ => args.push(anywhere[(draw >> 3) as usize % anywhere.len()].to_owned()),
+                    }
+                }
+                if parse(&args).is_ok() {
+                    args.push("stray".to_owned());
+                    match parse(&args) {
+                        Ok(cmd) => prop_assert!(false, "{args:?} parsed to {cmd:?}"),
+                        Err(e) => prop_assert!(e.message.contains("stray"), "{args:?}: {e}"),
+                    }
+                }
+            }
+        }
     }
 }

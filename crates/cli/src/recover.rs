@@ -19,12 +19,6 @@ use tagwatch_obs::Obs;
 use crate::parse::CliError;
 use crate::soak::write_artifact;
 
-fn to_cli<E: std::fmt::Display>(e: E) -> CliError {
-    CliError {
-        message: e.to_string(),
-    }
-}
-
 /// Reads the WAL at `path`, resumes it to completion, optionally
 /// writes the finished JSON report, and renders a recovery summary
 /// ending in the verified digest.
@@ -33,9 +27,9 @@ fn to_cli<E: std::fmt::Display>(e: E) -> CliError {
 ///
 /// Returns a [`CliError`] per the exit-code contract above.
 pub fn run_recover_command(path: &str, report_out: Option<String>) -> Result<String, CliError> {
-    let bytes = tagwatch_store::io::read_bytes(path).map_err(to_cli)?;
+    let bytes = tagwatch_store::io::read_bytes(path).map_err(CliError::new)?;
     let obs = Obs::new();
-    let outcome = resume_soak_durable_observed(&bytes, &obs).map_err(to_cli)?;
+    let outcome = resume_soak_durable_observed(&bytes, &obs).map_err(CliError::new)?;
     if let Some(p) = &report_out {
         write_artifact(p, &outcome.report.to_json())?;
     }
@@ -74,7 +68,7 @@ pub fn run_recover_command(path: &str, report_out: Option<String>) -> Result<Str
         for v in &report.violations {
             out.push_str(&format!("  - {v}\n"));
         }
-        return Err(CliError { message: out });
+        return Err(CliError::new(out));
     }
     out.push_str("all soak invariants held\n");
     Ok(out)

@@ -13,19 +13,12 @@ use tagwatch_sim::StorageFaultPlan;
 
 use crate::parse::CliError;
 
-fn to_cli<E: std::fmt::Display>(e: E) -> CliError {
-    CliError {
-        message: e.to_string(),
-    }
-}
-
 /// Reads and validates a `tagwatch-policy v1` document from disk,
 /// pointing diagnostics at the file path.
 pub(crate) fn load_policy(path: &str) -> Result<Policy, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("cannot read policy file `{path}`: {e}"),
-    })?;
-    Policy::parse_named(&text, path).map_err(to_cli)
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::new(format!("cannot read policy file `{path}`: {e}")))?;
+    Policy::parse_named(&text, path).map_err(CliError::new)
 }
 
 /// Writes `content` to `path`, creating parent directories.
@@ -33,10 +26,10 @@ pub(crate) fn write_artifact(path: &str, content: &str) -> Result<(), CliError> 
     let path = PathBuf::from(path);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(to_cli)?;
+            std::fs::create_dir_all(dir).map_err(CliError::new)?;
         }
     }
-    std::fs::write(&path, content).map_err(to_cli)
+    std::fs::write(&path, content).map_err(CliError::new)
 }
 
 /// The wall clock of the CLI's I/O shell: monotonic nanoseconds since
@@ -71,8 +64,7 @@ impl tagwatch_obs::Clock for WallClock {
     }
 }
 
-/// Everything the `soak` subcommand was asked to do; mirrors
-/// [`crate::parse::Command::Soak`] field for field.
+/// Everything the `soak` subcommand was asked to do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakCmd {
     /// Root seed (the whole run is deterministic in it).
@@ -94,18 +86,20 @@ pub struct SoakCmd {
     /// Decorate spans with wall-clock nanoseconds (artifact is then
     /// not byte-stable).
     pub spans_wall: bool,
-    /// Where to persist the durable write-ahead log, if anywhere.
+    /// Where to persist the durable write-ahead log, if anywhere. The
+    /// WAL is flushed before any non-zero exit, so an invariant
+    /// violation still leaves a resumable artifact.
     pub wal_out: Option<String>,
-    /// Scripted crash: stop just before this tick.
+    /// Scripted crash: stop just before this tick (requires `wal_out`,
+    /// which is what makes the kill survivable).
     pub crash_at: Option<u64>,
-    /// Path of a `tagwatch-policy v1` document to run under.
+    /// Path of a `tagwatch-policy v1` document to run under. The policy
+    /// owns the protocol choice, so it conflicts with `--protocol`.
     pub policy: Option<String>,
-    /// Worker threads for the session's round engine.
-    pub threads: u64,
 }
 
 impl Default for SoakCmd {
-    /// The parser's defaults for a bare `tagwatch-cli soak`.
+    /// What a bare `tagwatch-cli soak` runs.
     fn default() -> Self {
         SoakCmd {
             seed: 1,
@@ -120,7 +114,6 @@ impl Default for SoakCmd {
             wal_out: None,
             crash_at: None,
             policy: None,
-            threads: 1,
         }
     }
 }
@@ -153,41 +146,25 @@ impl Default for SoakCmd {
 /// Returns a [`CliError`] for invalid configs, report I/O failures, or
 /// invariant violations.
 pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
-    let SoakCmd {
-        seed,
-        ticks,
-        utrp,
-        report: report_out,
-        metrics_out,
-        trace_out,
-        prom_out,
-        spans_out,
-        spans_wall,
-        wal_out,
-        crash_at,
-        policy: policy_path,
-        threads,
-    } = cmd;
-    let threads = usize::try_from(threads.max(1)).unwrap_or(usize::MAX);
-    let policy = policy_path.as_deref().map(load_policy).transpose()?;
+    let policy = cmd.policy.as_deref().map(load_policy).transpose()?;
     let config = SoakConfig {
-        seed,
-        ticks,
+        seed: cmd.seed,
+        ticks: cmd.ticks,
         protocol: match &policy {
             Some(p) => p.protocol,
-            None if utrp => TickProtocol::Utrp,
+            None if cmd.utrp => TickProtocol::Utrp,
             None => TickProtocol::Trp,
         },
         ..SoakConfig::default()
     };
     let obs = Obs::new();
-    if spans_wall {
+    if cmd.spans_wall {
         // Wall time enters here, at the I/O shell, and nowhere deeper.
         obs.set_span_clock(std::rc::Rc::new(WallClock::new()));
     }
-    let report = if let Some(wal_path) = &wal_out {
+    let report = if let Some(wal_path) = &cmd.wal_out {
         let mut fault = StorageFaultPlan::new();
-        if let Some(t) = crash_at {
+        if let Some(t) = cmd.crash_at {
             fault = fault.crash_at_tick(t);
         }
         let durable = DurableConfig {
@@ -196,10 +173,10 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
             policy: policy.clone(),
             ..DurableConfig::default()
         };
-        let outcome = run_soak_durable_observed(&durable, &obs).map_err(to_cli)?;
+        let outcome = run_soak_durable_observed(&durable, &obs).map_err(CliError::new)?;
         // The WAL lands on disk first: a violation (or the scripted
         // crash) must still leave a resumable artifact behind.
-        tagwatch_store::io::write_bytes(wal_path, &outcome.wal).map_err(to_cli)?;
+        tagwatch_store::io::write_bytes(wal_path, &outcome.wal).map_err(CliError::new)?;
         match outcome.report {
             Some(report) => report,
             None => {
@@ -213,24 +190,24 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
             }
         }
     } else if let Some(policy) = &policy {
-        run_soak_policy_observed_threads(&config, policy, &obs, threads).map_err(to_cli)?
+        run_soak_policy_observed_threads(&config, policy, &obs, 1).map_err(CliError::new)?
     } else {
-        run_soak_observed_threads(&config, &obs, threads).map_err(to_cli)?
+        run_soak_observed_threads(&config, &obs, 1).map_err(CliError::new)?
     };
 
-    if let Some(p) = &report_out {
+    if let Some(p) = &cmd.report {
         write_artifact(p, &report.to_json())?;
     }
-    if let Some(p) = &metrics_out {
+    if let Some(p) = &cmd.metrics_out {
         write_artifact(p, &obs.snapshot_json())?;
     }
-    if let Some(p) = &trace_out {
+    if let Some(p) = &cmd.trace_out {
         write_artifact(p, &obs.flight_jsonl())?;
     }
-    if let Some(p) = &prom_out {
+    if let Some(p) = &cmd.prom_out {
         write_artifact(p, &to_prometheus_text(&obs))?;
     }
-    if let Some(p) = &spans_out {
+    if let Some(p) = &cmd.spans_out {
         write_artifact(p, &obs.spans_jsonl())?;
     }
 
@@ -251,8 +228,8 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
             TickProtocol::Utrp => "UTRP",
             TickProtocol::Trp => "TRP",
         },
-        ticks,
-        seed,
+        cmd.ticks,
+        cmd.seed,
         c.intact,
         c.alarms,
         c.desynced,
@@ -271,11 +248,11 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
         pct(0.90),
         pct(0.99),
     );
-    if let Some(p) = &report_out {
+    if let Some(p) = &cmd.report {
         out.push_str(&format!("report: {p}\n"));
     }
     out.push_str(&format!("digest: fnv1a:{:016x}\n", report.digest()));
-    if let (Some(policy), Some(path)) = (&policy, &policy_path) {
+    if let (Some(policy), Some(path)) = (&policy, &cmd.policy) {
         out.push_str(&format!("policy: site `{}` from {path}\n", policy.site));
     }
     out.push_str(&format!(
@@ -296,7 +273,7 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
         for v in &report.violations {
             out.push_str(&format!("  - {v}\n"));
         }
-        return Err(CliError { message: out });
+        return Err(CliError::new(out));
     }
     out.push_str("all soak invariants held\n");
     Ok(out)

@@ -2,15 +2,50 @@
 //! exit codes, stdout shapes, stdin plumbing, stderr on misuse.
 
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tagwatch-cli"))
+/// A fresh, empty working directory for the binary, removed on drop,
+/// so a test sees every file a command writes.
+struct WorkDir(PathBuf);
+
+impl WorkDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tagwatch-cli-e2e-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        WorkDir(dir)
+    }
+
+    fn cli(&self) -> Command {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_tagwatch-cli"));
+        cmd.current_dir(&self.0);
+        cmd
+    }
+
+    fn files(&self) -> Vec<String> {
+        std::fs::read_dir(&self.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    }
+}
+
+impl Drop for WorkDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 #[test]
 fn help_exits_zero_and_prints_usage() {
-    let out = cli().arg("help").output().unwrap();
+    let dir = WorkDir::new();
+    let out = dir.cli().arg("help").output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("USAGE"));
@@ -19,14 +54,17 @@ fn help_exits_zero_and_prints_usage() {
 
 #[test]
 fn no_args_behaves_like_help() {
-    let out = cli().output().unwrap();
+    let dir = WorkDir::new();
+    let out = dir.cli().output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("USAGE"));
 }
 
 #[test]
 fn size_trp_prints_the_frame() {
-    let out = cli()
+    let dir = WorkDir::new();
+    let out = dir
+        .cli()
         .args(["size", "trp", "1000", "10", "0.95"])
         .output()
         .unwrap();
@@ -37,7 +75,8 @@ fn size_trp_prints_the_frame() {
 
 #[test]
 fn unknown_command_fails_with_stderr() {
-    let out = cli().arg("frobnicate").output().unwrap();
+    let dir = WorkDir::new();
+    let out = dir.cli().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown command"));
@@ -46,7 +85,9 @@ fn unknown_command_fails_with_stderr() {
 
 #[test]
 fn bad_parameters_fail_cleanly() {
-    let out = cli()
+    let dir = WorkDir::new();
+    let out = dir
+        .cli()
         .args(["size", "trp", "10", "10", "0.95"])
         .output()
         .unwrap();
@@ -57,7 +98,9 @@ fn bad_parameters_fail_cleanly() {
 
 #[test]
 fn registry_pipeline_new_into_info() {
-    let new_out = cli()
+    let dir = WorkDir::new();
+    let new_out = dir
+        .cli()
         .args(["registry", "new", "30", "2", "0.9"])
         .output()
         .unwrap();
@@ -65,7 +108,8 @@ fn registry_pipeline_new_into_info() {
     let snapshot = String::from_utf8(new_out.stdout).unwrap();
     assert!(snapshot.starts_with("tagwatch-registry v1"));
 
-    let mut info = cli()
+    let mut info = dir
+        .cli()
         .args(["registry", "info"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -84,7 +128,9 @@ fn registry_pipeline_new_into_info() {
 
 #[test]
 fn registry_info_rejects_garbage_on_stdin() {
-    let mut info = cli()
+    let dir = WorkDir::new();
+    let mut info = dir
+        .cli()
         .args(["registry", "info"])
         .stdin(Stdio::piped())
         .stderr(Stdio::piped())
@@ -104,8 +150,10 @@ fn registry_info_rejects_garbage_on_stdin() {
 
 #[test]
 fn simulate_trp_is_deterministic_per_seed() {
+    let dir = WorkDir::new();
     let run = || {
-        let out = cli()
+        let out = dir
+            .cli()
             .args([
                 "simulate", "trp", "150", "5", "--trials", "100", "--seed", "4",
             ])
@@ -119,11 +167,30 @@ fn simulate_trp_is_deterministic_per_seed() {
 
 #[test]
 fn identify_reports_exact_match() {
-    let out = cli()
+    let dir = WorkDir::new();
+    let out = dir
+        .cli()
         .args(["identify", "120", "--steal", "4", "--seed", "2"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("match: exact"), "{text}");
+}
+
+#[test]
+fn tokens_without_a_role_fail_before_anything_runs() {
+    for (args, token) in [
+        (&["soak", "7", "--ticks", "5"][..], "`7`"),
+        (&["soak", "--report", "--ticks", "5"][..], "--report"),
+        (&["size", "trp", "1000", "10", "0.95", "oops"][..], "`oops`"),
+    ] {
+        let dir = WorkDir::new();
+        let out = dir.cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(token), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(dir.files(), Vec::<String>::new(), "{args:?} wrote files");
+    }
 }

@@ -7,7 +7,7 @@
 //! cost axes — frame slots elapsed, per-tag probes issued, monitoring
 //! ticks — all derived from the same seeded integer math as the rest
 //! of the stack, so the span tree for a given seed is byte-identical
-//! across runs, machines, and `--threads` values. That is what lets CI
+//! across runs, machines, and thread counts. That is what lets CI
 //! pin span artifacts next to the metrics goldens, and what gives the
 //! re-seed pipelining work in docs/PERFORMANCE.md a per-phase Amdahl
 //! baseline that survives re-measurement.
