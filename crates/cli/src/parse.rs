@@ -426,6 +426,15 @@ impl Walk<'_> {
     fn switch(&self, flag: &str) -> bool {
         self.given(flag).is_some()
     }
+
+    /// `--trials`, or `default` when it is not given: at least one,
+    /// since no trials estimate nothing.
+    fn trials(&self, default: u64) -> Result<u64, CliError> {
+        match self.get("--trials")?.unwrap_or(default) {
+            0 => Err(CliError::new("--trials must be at least 1")),
+            trials => Ok(trials),
+        }
+    }
 }
 
 /// Parses an argument vector (without the program name).
@@ -490,14 +499,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "simulate trp" => Command::SimulateTrp {
             n: a.need("<n>")?,
             m: a.need("<m>")?,
-            trials: a.get("--trials")?.unwrap_or(500),
+            trials: a.trials(500)?,
             seed: a.get("--seed")?.unwrap_or(1),
         },
         "simulate utrp" => Command::SimulateUtrp {
             n: a.need("<n>")?,
             m: a.need("<m>")?,
             budget: a.get("--budget")?.unwrap_or(20),
-            trials: a.get("--trials")?.unwrap_or(500),
+            trials: a.trials(500)?,
             seed: a.get("--seed")?.unwrap_or(1),
         },
         "identify" => Command::Identify {
@@ -546,6 +555,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 return Err(CliError::new(
                     "--crash-at needs --wal-out (the WAL is what survives the kill)",
                 ));
+            }
+            if let Some(tick) = soak.crash_at.filter(|&tick| tick >= soak.ticks) {
+                return Err(CliError::new(format!(
+                    "--crash-at {tick} never fires in a run of --ticks {} (ticks count from 0)",
+                    soak.ticks
+                )));
             }
             if soak.policy.is_some() && protocol.is_some() {
                 return Err(CliError::new(
@@ -791,6 +806,56 @@ mod tests {
         assert!(e.message.contains("--crash-at"));
         let e = parse(&argv("soak --wal-out")).unwrap_err();
         assert!(e.message.contains("--wal-out"));
+    }
+
+    #[test]
+    fn crash_at_must_name_a_tick_the_run_reaches() {
+        for line in [
+            "soak --ticks 1 --crash-at 5 --wal-out x.wal",
+            "soak --ticks 5 --crash-at 5 --wal-out x.wal",
+            "soak --crash-at 5000 --wal-out x.wal",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(
+                e.message.contains("--crash-at") && e.message.contains("--ticks"),
+                "{line}: {e}"
+            );
+        }
+        // Ticks count from 0, so the run's first and last ticks both
+        // fire.
+        for (line, tick) in [
+            ("soak --ticks 5 --crash-at 4 --wal-out x.wal", 4),
+            ("soak --ticks 5 --crash-at 0 --wal-out x.wal", 0),
+            ("soak --crash-at 4999 --wal-out x.wal", 4999),
+        ] {
+            assert!(
+                matches!(
+                    parse(&argv(line)).unwrap(),
+                    Command::Soak(SoakCmd { crash_at: Some(t), .. }) if t == tick
+                ),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_trials_are_rejected() {
+        for line in [
+            "simulate trp 300 5 --trials 0",
+            "simulate utrp 300 5 --trials 0",
+            "simulate utrp 300 5 --budget 30 --trials 0 --seed 2",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert_eq!(e.message, "--trials must be at least 1", "{line}");
+        }
+        assert!(matches!(
+            parse(&argv("simulate trp 300 5 --trials 1")).unwrap(),
+            Command::SimulateTrp { trials: 1, .. }
+        ));
+        assert!(matches!(
+            parse(&argv("simulate utrp 300 5 --trials 1")).unwrap(),
+            Command::SimulateUtrp { trials: 1, .. }
+        ));
     }
 
     #[test]

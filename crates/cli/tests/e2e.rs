@@ -194,3 +194,31 @@ fn tokens_without_a_role_fail_before_anything_runs() {
         assert_eq!(dir.files(), Vec::<String>::new(), "{args:?} wrote files");
     }
 }
+
+#[test]
+fn a_crash_tick_past_the_run_fails_without_writing_a_wal() {
+    for ticks in ["1", "5"] {
+        let dir = WorkDir::new();
+        let out = dir
+            .cli()
+            .args([
+                "soak",
+                "--ticks",
+                ticks,
+                "--crash-at",
+                "5",
+                "--wal-out",
+                "x.wal",
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--ticks {ticks}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("--crash-at") && err.contains("--ticks"),
+            "--ticks {ticks}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "--ticks {ticks}");
+        assert_eq!(dir.files(), Vec::<String>::new(), "--ticks {ticks}");
+    }
+}

@@ -61,11 +61,19 @@
 //! The server's desync diagnosis tests thousands of counter hypotheses
 //! that each differ from the mirror round in a few counters. Two
 //! crate-private pieces let it pay only for the difference: a recorded
-//! `Trajectory` of the mirror round, along which a single changed tag
-//! can be walked alone, and an early-exit replay
+//! `Trajectory` of the mirror round, and an early-exit replay
 //! (`RoundScratch::run_matching`) that resumes at any recorded
 //! announcement and stops at the first reply off the field's
 //! bitstring.
+//!
+//! The record keeps its first departure `d` from the field. Before
+//! `d` every recorded reply is the field's next set bit, so a
+//! hypothesis that reproduces the field makes the recorded reply at
+//! each announcement before `d`. While it does, every tag but the one
+//! it changes picks and retires as recorded. So a single-lag hypothesis
+//! is decided by walking its one tag up to `d` (`Trajectory::walk`),
+//! one probe per announcement, and the active set is replayed only
+//! from `d`, only when the walk cannot reject there.
 //!
 //! ## Semantics
 //!
@@ -459,32 +467,42 @@ struct Step {
     nonce: u64,
     /// The global reply slot; `None` for the silent last announcement.
     reply: Option<u64>,
+    /// Whether exactly one tag replied.
+    sole: bool,
     /// Whether the field's bitstring has the reply slot empty.
     dropped: bool,
 }
 
+/// The first announcement whose recorded reply is not the field's next
+/// set bit.
+#[derive(Debug, Clone, Copy)]
+struct Departure {
+    /// The announcement `d` (1-based).
+    at: u64,
+    /// The field's next set bit from `d`'s sub-frame start.
+    field: Option<u64>,
+    /// When one tag replied alone at `d`: the smallest slot any other
+    /// tag active at `d` chose (`None` when no other tag was active).
+    runner_up: Option<u64>,
+}
+
 /// A recorded UTRP round, kept for desync diagnosis
 /// ([`RoundScratch::run_recorded`]): per announcement its sub-frame,
-/// nonce and reply slot; per tag (by load index) the announcement it
-/// replied in; and the first announcement whose reply departs from the
-/// field's bitstring.
+/// nonce, reply slot and whether one tag replied alone; per tag (by
+/// load index) the announcement it replied in; and the round's first
+/// departure from the field's bitstring.
 ///
-/// A hypothesis that changes one tag's counter replays this round
-/// exactly until that tag picks a slot the record did not: every other
-/// tag sees the same nonces, sub-frames and counters. So
-/// [`Trajectory::first_change`] probes only that one tag per
-/// announcement, and the whole active set is scanned only from the
-/// announcement where the hypothesis parts from the record.
+/// A hypothesis that changes one tag's counter is decided against this
+/// record by [`Trajectory::walk`], which probes only that one tag per
+/// announcement up to the departure.
 #[derive(Debug)]
 pub(crate) struct Trajectory {
     steps: Vec<Step>,
     /// Per load index: the 1-based announcement of the tag's reply, or
     /// 0 when the frame ran out before it replied.
     retired_at: Vec<u64>,
-    /// The 1-based announcement whose reply first departs from the
-    /// field's bitstring; `steps.len() + 1` when the round reproduces
-    /// it.
-    diverged: u64,
+    /// `None` when the round reproduces the field's bitstring.
+    departure: Option<Departure>,
 }
 
 impl Trajectory {
@@ -506,39 +524,67 @@ impl Trajectory {
         self.steps[a as usize - 1].sub
     }
 
-    /// The first announcement at which tag `i`, with pre-round counter
-    /// `base` in place of its recorded one, would change the recorded
-    /// round: it replies before the recorded reply, joins the reply
-    /// set, or leaves the reply set it was recorded in. The walk probes
-    /// the tag as the scan kernel does, `mix64(folded ⊕ r ⊕ mix64(base
-    /// + a)) mod f'`.
+    /// Decides the hypothesis that gives tag `i` pre-round counter
+    /// `base` in place of its recorded one, every other tag as
+    /// recorded. Returns the announcement to replay the hypothesis
+    /// from, with whether tag `i` is still active there, or `None` when
+    /// it cannot reproduce the field's bitstring.
     ///
-    /// `None` when the tag changes nothing up to its recorded reply (the
-    /// hypothesis is the recorded round) or up to the round's first
-    /// departure from the field (the hypothesis departs there too).
-    /// Either way it cannot reproduce a bitstring the record departs
-    /// from.
-    pub(crate) fn first_change(&self, i: usize, folded: u64, base: u64) -> Option<u64> {
-        let retired = self.retired_at[i];
-        let last = if retired == 0 {
-            self.diverged
-        } else {
-            retired.min(self.diverged)
+    /// A hypothesis that reproduces the field makes the recorded reply
+    /// `R_a` at every announcement `a` before the departure `d`, so up
+    /// to `d` only tag `i` can differ from the record. The walk probes
+    /// it as the scan kernel does (its slot `t_a` is the sub-frame start
+    /// plus `mix64(folded ⊕ r ⊕ mix64(base + a)) mod f'`) and rejects
+    /// where the reply would leave `R_a`:
+    /// `t_a < R_a` while `i` is active, or `i` replied alone at `R_a`
+    /// in the record and does not reply there now. At `t_a = R_a` the
+    /// tag retires. At `d` the hypothesis replies at the smaller of the
+    /// other tags' reply (`R_d`, or the runner-up when `i` replied
+    /// alone at `d`) and `t_d` while `i` is active; only when that is
+    /// the field's next set bit is it replayed from `d`.
+    ///
+    /// A record that reproduces the field has no departure; its
+    /// hypotheses are replayed from announcement 1.
+    pub(crate) fn walk(&self, i: usize, folded: u64, base: u64) -> Option<(u64, bool)> {
+        let Some(departure) = self.departure else {
+            return Some((1, true));
         };
-        for (a, step) in (1..=last).zip(&self.steps) {
-            // An active tag always replies somewhere, so the walk never
-            // reaches a silent announcement.
-            let reply = step.reply?;
+        let recorded = self.retired_at[i];
+        let alone_at = |a: u64| recorded == a && self.steps[a as usize - 1].sole;
+        let probe = |a: u64, step: &Step| {
             let ct = mix64(base.wrapping_add(a));
-            let slot = step.sub.start + step.sub.frame.rem(mix64(folded ^ step.nonce ^ ct));
-            if a == retired {
-                return (slot != reply).then_some(a);
+            step.sub.start + step.sub.frame.rem(mix64(folded ^ step.nonce ^ ct))
+        };
+        let d = departure.at;
+        let mut active = true;
+        for (a, step) in (1..d).zip(&self.steps) {
+            // Every reply before `d` is a set bit of the field, so no
+            // announcement before it is silent.
+            let reply = step.reply?;
+            let slot = probe(a, step);
+            if slot < reply || (slot > reply && alone_at(a)) {
+                return None;
             }
-            if slot <= reply {
-                return Some(a);
+            if slot == reply {
+                // From here the hypothesis is the record, except where
+                // `i` was recorded replying alone: `d` decides.
+                active = false;
+                break;
             }
         }
-        None
+        let step = &self.steps[d as usize - 1];
+        let others = if alone_at(d) {
+            departure.runner_up
+        } else {
+            step.reply
+        };
+        let reply = if active {
+            let slot = probe(d, step);
+            Some(others.map_or(slot, |other| other.min(slot)))
+        } else {
+            others
+        };
+        (reply == departure.field).then_some((d, active))
     }
 }
 
@@ -771,7 +817,9 @@ impl RoundScratch {
 
     /// [`RoundScratch::run`] that records the round's [`Trajectory`]
     /// against the field's `observed` bitstring, naming tags by load
-    /// index.
+    /// index. When one tag replies alone at the round's first departure
+    /// from `observed`, one more scan of the active set finds the
+    /// runner-up.
     ///
     /// # Errors
     ///
@@ -789,24 +837,59 @@ impl RoundScratch {
                 right: observed.len(),
             });
         }
-        let mut replies: Vec<u64> = Vec::new();
+        let mut replies: Vec<(u64, bool)> = Vec::new();
         let mut retired_at = vec![0u64; self.loaded()];
-        let announcements = self.run_attributed_with(f, nonces, |slot, members| {
-            replies.push(slot);
-            for &i in members {
-                retired_at[i as usize] = replies.len() as u64;
-            }
-        })?;
+        let mut departure = None;
+        let mut announced = 0u64;
+        let mut others = Vec::new();
+        let announcements = self.run_inner(
+            f,
+            nonces,
+            |job, members| {
+                announced += 1;
+                let rel = min_scan(job, members);
+                if departure.is_none() {
+                    let start = f.get() - job.frame().divisor();
+                    let field = observed.next_one(start as usize).map(|bit| bit as u64);
+                    if field != rel.map(|r| start + r) {
+                        let runner_up = match members[..] {
+                            [sole] => {
+                                let sole = sole as usize;
+                                let below = job.scan_range(0, sole, &mut others);
+                                let above = job.scan_range(sole + 1, job.len(), &mut others);
+                                below.into_iter().chain(above).min().map(|r| start + r)
+                            }
+                            _ => None,
+                        };
+                        departure = Some(Departure {
+                            at: announced,
+                            field,
+                            runner_up,
+                        });
+                    }
+                }
+                rel
+            },
+            |slot, members| {
+                replies.push((slot, members.len() == 1));
+                for &i in members {
+                    retired_at[i as usize] = replies.len() as u64;
+                }
+            },
+        )?;
         let mut steps = Vec::with_capacity(announcements as usize);
         let mut sub = SubFrame::whole(f);
         for (k, nonce) in nonces.iter().take(announcements as usize).enumerate() {
-            let reply = replies.get(k).copied();
+            let (reply, sole) = replies
+                .get(k)
+                .map_or((None, false), |&(slot, sole)| (Some(slot), sole));
             let dropped =
                 reply.is_some_and(|slot| matches!(observed.get(slot as usize), Ok(false)));
             steps.push(Step {
                 sub,
                 nonce: nonce.as_u64(),
                 reply,
+                sole,
                 dropped,
             });
             if let Some(slot) = reply.filter(|&slot| slot + 1 < f.get()) {
@@ -816,15 +899,10 @@ impl RoundScratch {
                 };
             }
         }
-        let diverged = steps
-            .iter()
-            .position(|s| observed.next_one(s.sub.start as usize).map(|i| i as u64) != s.reply)
-            .unwrap_or(steps.len()) as u64
-            + 1;
         Ok(Trajectory {
             steps,
             retired_at,
-            diverged,
+            departure,
         })
     }
 
@@ -1083,7 +1161,7 @@ mod tests {
     use super::*;
     use crate::utrp::{simulate_round_reference, UtrpChallenge};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use tagwatch_sim::TimingModel;
 
     fn challenge(f: u64, seed: u64) -> UtrpChallenge {
@@ -1379,6 +1457,138 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn walk_rejects_only_what_the_full_replay_rejects() {
+        // For every tag and every lag 1..=8, against fields from a round
+        // with one lagged tag, with two, and with one flipped bit: a
+        // hypothesis the walk rejects must not reproduce the field in a
+        // full run, and one it keeps must be decided by the replay from
+        // `d` exactly as by the full run. The counters tally, from each
+        // hypothesis's own attributed round, the three cases that need
+        // the per-step sole-replier flag and the runner-up.
+        let mut rng = StdRng::seed_from_u64(71);
+        let (mut runner_up, mut retired, mut alone) = (0usize, 0usize, 0usize);
+        let mut rounds = RoundScratch::new();
+        let mut run = |parts: &[(TagId, Counter)], ch: &UtrpChallenge| {
+            rounds.load_pairs(parts.iter().copied());
+            rounds.run(ch.frame_size(), ch.nonces()).unwrap();
+            rounds.take_bitstring()
+        };
+        let mut scratch = RoundScratch::new();
+        for case in 0..120 {
+            let n = rng.gen_range(2..=24usize);
+            let base = rng.gen_range(8..1_000u64);
+            let mixed = case % 2 == 1;
+            let mut registry: Vec<(TagId, Counter)> = Vec::new();
+            while registry.len() < n {
+                let id = TagId::from(rng.gen::<u64>());
+                let ct = if mixed {
+                    base + rng.gen_range(0..6u64)
+                } else {
+                    base
+                };
+                registry.push((id, Counter::new(ct)));
+            }
+            let f = FrameSize::new(rng.gen_range(1..=3 * n as u64)).unwrap();
+            let ch = UtrpChallenge::generate(f, &TimingModel::gen2(), &mut rng);
+            let nonces = ch.nonces();
+            let lagged = |lags: &[(usize, u64)]| {
+                let mut field = registry.clone();
+                for &(k, lag) in lags {
+                    field[k].1 = Counter::new(field[k].1.get() - lag);
+                }
+                field
+            };
+            let (k1, k2) = (rng.gen_range(0..n), rng.gen_range(1..n));
+            let k2 = (k1 + k2) % n;
+            let mirror = run(&registry, &ch);
+            let fields = [
+                run(&lagged(&[(k1, rng.gen_range(1..=8))]), &ch),
+                run(
+                    &lagged(&[(k1, rng.gen_range(1..=8)), (k2, rng.gen_range(1..=8))]),
+                    &ch,
+                ),
+                flipped(&mirror, rng.gen_range(0..f.as_usize())),
+            ];
+            for field in fields.iter().filter(|&field| *field != mirror) {
+                scratch.load_pairs(registry.iter().copied());
+                let record = scratch.run_recorded(f, nonces, field).unwrap();
+                let d = record.departure.expect("a mismatch departs").at;
+                let step_d = record.steps[d as usize - 1];
+                for (i, &(tag, ct)) in registry.iter().enumerate() {
+                    for lag in 1..=8 {
+                        let base = ct.get() - lag;
+                        let mut hypothesis = registry.clone();
+                        hypothesis[i].1 = Counter::new(base);
+                        let context = format!("case={case} n={n} f={f} i={i} lag={lag}");
+
+                        scratch.load_pairs(hypothesis.iter().copied());
+                        let full = scratch
+                            .run_matching(f, nonces, 1, SubFrame::whole(f), field)
+                            .unwrap();
+                        match record.walk(i, tag.fold64(), base) {
+                            None => assert_eq!(full, None, "walk rejected: {context}"),
+                            Some((from, still_active)) => {
+                                assert_eq!(from, d, "{context}");
+                                scratch.load_pairs(
+                                    hypothesis
+                                        .iter()
+                                        .enumerate()
+                                        .filter(|&(j, _)| {
+                                            if j == i {
+                                                still_active
+                                            } else {
+                                                record.active_at(j, from)
+                                            }
+                                        })
+                                        .map(|(_, &part)| part),
+                                );
+                                let resumed = scratch
+                                    .run_matching(f, nonces, from, record.sub_frame(from), field)
+                                    .unwrap();
+                                assert_eq!(resumed, full, "replay from d: {context}");
+                            }
+                        }
+
+                        let mut replies: Vec<(u64, Vec<u32>)> = Vec::new();
+                        scratch.load_pairs(hypothesis.iter().copied());
+                        scratch
+                            .run_attributed_with(f, nonces, |slot, members| {
+                                replies.push((slot, members.to_vec()));
+                            })
+                            .unwrap();
+                        let retires = replies
+                            .iter()
+                            .position(|(_, members)| members.contains(&(i as u32)))
+                            .map_or(u64::MAX, |k| k as u64 + 1);
+                        if full.is_some() && record.retired_at[i] == d && step_d.sole {
+                            if retires < d {
+                                retired += 1;
+                            } else {
+                                runner_up += 1;
+                            }
+                        }
+                        let first_off = replies
+                            .iter()
+                            .zip(&record.steps)
+                            .position(|((slot, _), step)| Some(*slot) != step.reply);
+                        if let Some(k) = first_off.filter(|&k| (k as u64) + 1 < d) {
+                            let (slot, members) = &replies[k];
+                            if *members == [i as u32] && Some(*slot) < record.steps[k].reply {
+                                alone += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            runner_up > 0 && retired > 0 && alone > 0,
+            "cases reached: runner-up {runner_up}, retired before d {retired}, \
+             alone before the recorded reply {alone}"
+        );
     }
 
     #[test]

@@ -470,11 +470,15 @@ impl MonitorServer {
     ///
     /// Each hypothesis costs only what it changes. A uniform lead is
     /// replayed with an early exit at its first reply off `observed`.
-    /// A single lag walks its one tag along the recorded mirror round
-    /// ([`crate::engine::Trajectory::first_change`]) and replays the
-    /// active set only from the announcement where that tag parts from
-    /// the record. The verdicts are those of re-simulating every
-    /// hypothesis in full.
+    /// A single lag is decided by walking its one tag along the
+    /// recorded mirror round ([`crate::engine::Trajectory::walk`]) up
+    /// to the record's first departure `d` from `observed`, one probe
+    /// per announcement: before `d` every recorded reply is a set bit of
+    /// `observed`, so a hypothesis that reproduces it leaves every other
+    /// tag as recorded. The active set is replayed only from `d`, and
+    /// only when the walk's reply at `d` is `observed`'s next set bit.
+    /// The verdicts are those of re-simulating every hypothesis in
+    /// full.
     fn diagnose_desync(
         window: u64,
         registry: &[(TagId, Counter)],
@@ -524,14 +528,20 @@ impl MonitorServer {
                     continue;
                 }
                 let base = ct.get().wrapping_sub(lag);
-                let Some(from) = mirror.first_change(i, tag.fold64(), base) else {
+                let Some((from, still_active)) = mirror.walk(i, tag.fold64(), base) else {
                     continue;
                 };
                 scratch.load(
                     registry
                         .iter()
                         .enumerate()
-                        .filter(|&(j, _)| mirror.active_at(j, from))
+                        .filter(|&(j, _)| {
+                            if j == i {
+                                still_active
+                            } else {
+                                mirror.active_at(j, from)
+                            }
+                        })
                         .map(|(j, &(id, mirrored))| {
                             let ct = if j == i { Counter::new(base) } else { mirrored };
                             (id, ct, false)
@@ -1306,6 +1316,49 @@ mod tests {
         fields
     }
 
+    /// One differential case: a random registry of `n` tags (mixed
+    /// counters or uniform), a random frame, and every field
+    /// `perturbed_fields` draws, each diagnosed both ways.
+    fn diagnosis_case(
+        n: usize,
+        f_pick: u64,
+        window: u64,
+        mixed: bool,
+        seed: u64,
+    ) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = rng.gen_range(0..1_000u64);
+        let mut ids: BTreeMap<TagId, Counter> = BTreeMap::new();
+        while ids.len() < n {
+            let ct = if mixed {
+                base + rng.gen_range(0..6u64)
+            } else {
+                base
+            };
+            ids.insert(TagId::from(rng.gen::<u64>()), Counter::new(ct));
+        }
+        let registry: Vec<(TagId, Counter)> = ids.into_iter().collect();
+        let f = FrameSize::new(1 + f_pick % (3 * n as u64)).unwrap();
+        let challenge = UtrpChallenge::generate(f, &TimingModel::gen2(), &mut rng);
+        let mirror = expected_round(&registry, &challenge).unwrap().bitstring;
+        for observed in perturbed_fields(&registry, &challenge, window, &mut rng) {
+            if observed == mirror {
+                continue;
+            }
+            let fast = MonitorServer::diagnose_desync(window, &registry, &challenge, &observed);
+            let brute = diagnose_desync_brute_force(window, &registry, &challenge, &observed);
+            prop_assert_eq!(
+                fast.unwrap(),
+                brute.unwrap(),
+                "n={} f={} window={}",
+                n,
+                f,
+                window
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1317,25 +1370,26 @@ mod tests {
             mixed in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let base = rng.gen_range(0..1_000u64);
-            let mut ids: BTreeMap<TagId, Counter> = BTreeMap::new();
-            while ids.len() < n {
-                let ct = if mixed { base + rng.gen_range(0..6u64) } else { base };
-                ids.insert(TagId::from(rng.gen::<u64>()), Counter::new(ct));
-            }
-            let registry: Vec<(TagId, Counter)> = ids.into_iter().collect();
-            let f = FrameSize::new(1 + f_pick % (3 * n as u64)).unwrap();
-            let challenge = UtrpChallenge::generate(f, &TimingModel::gen2(), &mut rng);
-            let mirror = expected_round(&registry, &challenge).unwrap().bitstring;
-            for observed in perturbed_fields(&registry, &challenge, window, &mut rng) {
-                if observed == mirror {
-                    continue;
-                }
-                let fast = MonitorServer::diagnose_desync(window, &registry, &challenge, &observed);
-                let brute = diagnose_desync_brute_force(window, &registry, &challenge, &observed);
-                prop_assert_eq!(fast.unwrap(), brute.unwrap(), "n={} f={} window={}", n, f, window);
-            }
+            diagnosis_case(n, f_pick, window, mixed, seed)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The same differential check over 300 cases (about two
+        /// minutes in release): `cargo test --release -p tagwatch-core
+        /// --lib -- --ignored diagnosis`.
+        #[test]
+        #[ignore = "slow; run with --ignored"]
+        fn diagnosis_agrees_with_brute_force_deep(
+            n in 2usize..=220,
+            f_pick in any::<u64>(),
+            window in 1u64..=130,
+            mixed in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            diagnosis_case(n, f_pick, window, mixed, seed)?;
         }
     }
 }
