@@ -54,6 +54,7 @@
 use std::fmt;
 
 use tagwatch_core::identify::IdentifyConfig;
+use tagwatch_sim::FrameSize;
 
 use crate::session::TickProtocol;
 
@@ -629,8 +630,9 @@ impl Policy {
     /// Returns [`PolicyError`] diagnostics when the policy is
     /// degenerate: a zero in-tick retry budget with a zero desync
     /// window, an audit budget of 0 with quarantine enabled, a zero
-    /// alarm threshold, an invalid site name, or a zero identification
-    /// budget with [`EscalateAction::Identify`].
+    /// alarm threshold, an invalid site name, a zero identification
+    /// budget with [`EscalateAction::Identify`], or a `frame_factor`
+    /// above [`FrameSize::MAX`].
     pub fn validate(&self) -> Result<(), PolicyError> {
         let mut diags = Vec::new();
         self.collect_validation("<policy>", &[], &mut diags);
@@ -701,6 +703,19 @@ impl Policy {
                 Diagnostic::new("`action identify` with a zero identification budget").help(
                     "set `frame_factor` and `max_rounds` to at least 1, or use `action report`",
                 ),
+                "frame_factor",
+            ));
+        }
+        if self.identify.frame_factor > FrameSize::MAX {
+            diags.push(at(
+                Diagnostic::new(format!(
+                    "`frame_factor {}` sizes an identification frame no registry can use",
+                    self.identify.frame_factor
+                ))
+                .help(format!(
+                    "a frame is `n × frame_factor` slots and at most {} (2^24); 2 is the default",
+                    FrameSize::MAX
+                )),
                 "frame_factor",
             ));
         }
@@ -1009,6 +1024,55 @@ mod tests {
             ..Policy::default()
         };
         assert!(no_identify_budget.validate().is_err());
+
+        // Past 2^24 no registry has a frame, under either action; at
+        // 2^24 a one-tag registry still does.
+        for escalate_action in [EscalateAction::Identify, EscalateAction::Report] {
+            let too_wide = Policy {
+                escalate_action,
+                identify: IdentifyConfig {
+                    frame_factor: FrameSize::MAX + 1,
+                    max_rounds: 64,
+                },
+                ..Policy::default()
+            };
+            let err = too_wide.validate().unwrap_err();
+            assert!(
+                err.message.contains("`frame_factor 16777217`") && err.message.contains("= help:"),
+                "{err}"
+            );
+        }
+        Policy {
+            identify: IdentifyConfig {
+                frame_factor: FrameSize::MAX,
+                max_rounds: 64,
+            },
+            ..Policy::default()
+        }
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
+    fn an_overflowing_frame_factor_is_pointed_at_its_line() {
+        let text = Policy::default()
+            .to_text()
+            .replace("frame_factor 2", "frame_factor 4611686018427387904");
+        let err = Policy::parse_named(&text, "wide.twp").unwrap_err();
+        assert!(
+            err.message
+                .contains("`frame_factor 4611686018427387904` sizes an identification frame"),
+            "{err}"
+        );
+        let line = text
+            .lines()
+            .position(|l| l.starts_with("frame_factor"))
+            .unwrap()
+            + 1;
+        assert!(
+            err.message.contains(&format!("--> wide.twp:{line}")),
+            "{err}"
+        );
     }
 
     #[test]

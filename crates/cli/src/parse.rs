@@ -72,9 +72,9 @@ pub enum Command {
     },
     /// `identify` — demo run of the missing-tag identification protocol.
     Identify {
-        /// Population size.
+        /// Population size, at least 1.
         n: u64,
-        /// Number of tags stolen before identification.
+        /// Number of tags stolen before identification, less than `n`.
         steal: u64,
         /// Root seed.
         seed: u64,
@@ -509,11 +509,29 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             trials: a.trials(500)?,
             seed: a.get("--seed")?.unwrap_or(1),
         },
-        "identify" => Command::Identify {
-            n: a.need("<n>")?,
-            steal: a.get("--steal")?.unwrap_or(5),
-            seed: a.get("--seed")?.unwrap_or(1),
-        },
+        "identify" => {
+            let n: u64 = a.need("<n>")?;
+            if n == 0 {
+                return Err(CliError::new("<n> must be at least 1"));
+            }
+            let given = a.get("--steal")?;
+            let steal = given.unwrap_or(5);
+            if steal >= n {
+                let default = if given.is_none() {
+                    " (the default)"
+                } else {
+                    ""
+                };
+                return Err(CliError::new(format!(
+                    "--steal {steal}{default} must be less than <n> = {n}"
+                )));
+            }
+            Command::Identify {
+                n,
+                steal,
+                seed: a.get("--seed")?.unwrap_or(1),
+            }
+        }
         "faults" => {
             let d = FaultsCmd::default();
             Command::Faults(FaultsCmd {
@@ -697,6 +715,46 @@ mod tests {
                 seed: 1
             }
         );
+    }
+
+    #[test]
+    fn identify_rejects_what_it_cannot_run_and_names_the_value() {
+        let e = parse(&argv("identify 0")).unwrap_err();
+        assert_eq!(e.message, "<n> must be at least 1");
+        let e = parse(&argv("identify 0 --steal 0")).unwrap_err();
+        assert_eq!(e.message, "<n> must be at least 1");
+        let e = parse(&argv("identify 3")).unwrap_err();
+        assert_eq!(
+            e.message,
+            "--steal 5 (the default) must be less than <n> = 3"
+        );
+        let e = parse(&argv("identify 5")).unwrap_err();
+        assert_eq!(
+            e.message,
+            "--steal 5 (the default) must be less than <n> = 5"
+        );
+        let e = parse(&argv("identify 200 --steal 200 --seed 3")).unwrap_err();
+        assert_eq!(e.message, "--steal 200 must be less than <n> = 200");
+        assert_eq!(
+            parse(&argv("identify 3 --steal 2")).unwrap(),
+            Command::Identify {
+                n: 3,
+                steal: 2,
+                seed: 1
+            }
+        );
+        assert_eq!(
+            parse(&argv("identify 1 --steal 0")).unwrap(),
+            Command::Identify {
+                n: 1,
+                steal: 0,
+                seed: 1
+            }
+        );
+        assert!(matches!(
+            parse(&argv("identify 6")).unwrap(),
+            Command::Identify { n: 6, steal: 5, .. }
+        ));
     }
 
     #[test]

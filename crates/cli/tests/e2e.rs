@@ -222,3 +222,46 @@ fn a_crash_tick_past_the_run_fails_without_writing_a_wal() {
         assert_eq!(dir.files(), Vec::<String>::new(), "--ticks {ticks}");
     }
 }
+
+#[test]
+fn identify_names_the_value_it_cannot_run() {
+    for (args, message) in [
+        (
+            &["identify", "3"][..],
+            "--steal 5 (the default) must be less than <n> = 3",
+        ),
+        (
+            &["identify", "4", "--steal", "9", "--seed", "2"][..],
+            "--steal 9 must be less than <n> = 4",
+        ),
+        (&["identify", "0"][..], "<n> must be at least 1"),
+    ] {
+        let dir = WorkDir::new();
+        let out = dir.cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.trim_end(), format!("error: {message}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn a_policy_frame_factor_past_every_frame_fails_before_any_tick() {
+    let dir = WorkDir::new();
+    let text = include_str!("../../../policies/default.twp")
+        .replace("frame_factor 2", "frame_factor 4611686018427387904");
+    std::fs::write(dir.0.join("wide.twp"), text).unwrap();
+    let out = dir
+        .cli()
+        .args(["soak", "--ticks", "40", "--policy", "wide.twp"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("`frame_factor 4611686018427387904`") && err.contains("wide.twp:"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty());
+    assert_eq!(dir.files(), vec!["wide.twp".to_string()]);
+}

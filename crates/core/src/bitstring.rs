@@ -116,6 +116,15 @@ impl Bitstring {
         Ok(())
     }
 
+    /// Sets bit `index`, which the caller has reduced into the frame:
+    /// the occupancy writer's store, without [`Bitstring::set`]'s
+    /// `Result`.
+    #[inline]
+    pub(crate) fn insert(&mut self, index: usize) {
+        debug_assert!(index < self.len, "bit {index} outside {} bits", self.len);
+        self.words[index / WORD_BITS] |= 1u64 << (index % WORD_BITS);
+    }
+
     /// The first set bit at or after `from`, scanning whole words: the
     /// next occupied slot a replayed round must reproduce.
     pub(crate) fn next_one(&self, from: usize) -> Option<usize> {

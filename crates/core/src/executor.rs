@@ -30,7 +30,7 @@ use crate::bitstring::Bitstring;
 use crate::engine::RoundEngine;
 use crate::error::CoreError;
 use crate::faulty::run_honest_reader_with;
-use crate::trp::{observed_bitstring, TrpChallenge};
+use crate::trp::{occupancy, TrpChallenge};
 use crate::utrp::{run_honest_reader_scratch, UtrpChallenge, UtrpResponse};
 
 /// One configured way of executing protocol rounds: a radio channel and
@@ -83,8 +83,9 @@ impl RoundExecutor {
     /// `floor` and returns the occupancy bitstring the reader reports.
     ///
     /// Faultless: identical to
-    /// [`observed_bitstring`] over the
-    /// audible IDs, with no RNG consumption. Otherwise each audible tag
+    /// [`observed_bitstring`](crate::trp::observed_bitstring) over the
+    /// audible IDs, written straight from the floor without collecting
+    /// them, with no RNG consumption. Otherwise each audible tag
     /// that hears the broadcast (announcement 0 of the plan) transmits
     /// in its hash slot; scripted reply loss, the probabilistic channel,
     /// a scripted reader crash, and scripted truncation shape the
@@ -106,15 +107,11 @@ impl RoundExecutor {
         rng: &mut R,
         obs: &Obs,
     ) -> Result<Bitstring, CoreError> {
-        let audible: Vec<tagwatch_sim::TagId> = floor
-            .iter()
-            .filter(|t| !t.is_detuned())
-            .map(|t| t.id())
-            .collect();
+        let audible = floor.iter().filter(|t| !t.is_detuned()).map(|t| t.id());
         let bs = if self.is_faultless() {
-            observed_bitstring(&audible, challenge)
+            occupancy(audible, challenge)
         } else {
-            self.run_trp_faulty(&audible, challenge, rng)?
+            self.run_trp_faulty(audible, challenge, rng)?
         };
         if obs.enabled() {
             let frame = bs.len() as u64;
@@ -144,7 +141,7 @@ impl RoundExecutor {
     /// The fault-aware TRP round behind [`RoundExecutor::run_trp`].
     fn run_trp_faulty<R: Rng + ?Sized>(
         &self,
-        audible: &[tagwatch_sim::TagId],
+        audible: impl Iterator<Item = tagwatch_sim::TagId>,
         challenge: &TrpChallenge,
         rng: &mut R,
     ) -> Result<Bitstring, CoreError> {
@@ -160,7 +157,7 @@ impl RoundExecutor {
         // Slot -> transmissions. TRP broadcasts exactly one announcement
         // (index 0); a tag that misses it stays silent for the round.
         let mut slots: Vec<Vec<TagReply>> = vec![Vec::new(); f.as_usize()];
-        for &id in audible {
+        for id in audible {
             if plan.misses_announcement(0, id) {
                 continue;
             }
@@ -287,6 +284,7 @@ impl RoundExecutor {
 mod tests {
     use super::*;
     use crate::engine::RoundScratch;
+    use crate::trp::observed_bitstring;
     use crate::utrp::run_honest_reader;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

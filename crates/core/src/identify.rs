@@ -20,141 +20,24 @@
 //! expected number of rounds is `O(log n)` in practice. The driver is
 //! oracle-based — pass a closure that scans the field, whether through
 //! the device simulation or the fast path.
-
-use std::collections::BTreeSet;
+//!
+//! # Cost
+//!
+//! [`identify_missing`] folds the registry to `u64` once and keeps one
+//! status byte per tag plus a per-slot tally (unresolved tags hashing
+//! there, saturated at two, and whether a proven-present tag does),
+//! all reused across rounds. A round of frame `f` over `n` tags costs
+//! one hash and [`FastMod`] reduction per tag not yet proven missing,
+//! a pass over the unresolved tags, and an `f`-slot reset of the
+//! tally — `O(n + f)`; the kernel allocates nothing per round.
 
 use rand::Rng;
 
-use tagwatch_sim::{slot_for, FrameSize, TagId};
+use tagwatch_sim::{FastMod, FrameSize, TagId};
 
 use crate::bitstring::Bitstring;
 use crate::error::CoreError;
-use crate::trp::TrpChallenge;
-
-/// Classification state across identification rounds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Identifier {
-    unresolved: BTreeSet<TagId>,
-    present: BTreeSet<TagId>,
-    missing: BTreeSet<TagId>,
-    rounds: u32,
-    slots_used: u64,
-}
-
-impl Identifier {
-    /// Starts an identification over the registry.
-    #[must_use]
-    pub fn new<I: IntoIterator<Item = TagId>>(registry: I) -> Self {
-        Identifier {
-            unresolved: registry.into_iter().collect(),
-            ..Identifier::default()
-        }
-    }
-
-    /// Tags not yet classified.
-    #[must_use]
-    pub fn unresolved(&self) -> &BTreeSet<TagId> {
-        &self.unresolved
-    }
-
-    /// Tags proven present so far.
-    #[must_use]
-    pub fn present(&self) -> &BTreeSet<TagId> {
-        &self.present
-    }
-
-    /// Tags proven missing so far.
-    #[must_use]
-    pub fn missing(&self) -> &BTreeSet<TagId> {
-        &self.missing
-    }
-
-    /// Rounds absorbed so far.
-    #[must_use]
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Total slots spent so far.
-    #[must_use]
-    pub fn slots_used(&self) -> u64 {
-        self.slots_used
-    }
-
-    /// Whether every registry tag is classified.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.unresolved.is_empty()
-    }
-
-    /// Absorbs one scanned round.
-    ///
-    /// Soundness relies on the ideal-channel reading the analysis
-    /// assumes: an empty slot proves absence of its pre-image, an
-    /// occupied slot proves at least one pre-image member present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ResponseShapeMismatch`] if the bitstring
-    /// length differs from the challenge frame.
-    pub fn absorb_round(
-        &mut self,
-        challenge: &TrpChallenge,
-        observed: &Bitstring,
-    ) -> Result<(), CoreError> {
-        let f = challenge.frame_size();
-        if observed.len() as u64 != f.get() {
-            return Err(CoreError::ResponseShapeMismatch {
-                expected: f.get(),
-                received: observed.len() as u64,
-            });
-        }
-        self.rounds += 1;
-        self.slots_used += f.get();
-        let r = challenge.plan().nonce();
-
-        // Pre-image of every slot over tags not already proven missing
-        // (known-missing tags cannot contribute energy; known-present
-        // ones can, so they stay in the pre-image for the singleton
-        // rule).
-        let mut preimage: Vec<Vec<TagId>> = vec![Vec::new(); f.as_usize()];
-        for &id in self.unresolved.iter().chain(self.present.iter()) {
-            preimage[slot_for(id, r, f) as usize].push(id);
-        }
-
-        for (slot, tags) in preimage.iter().enumerate() {
-            if tags.is_empty() {
-                continue;
-            }
-            if !observed.get(slot)? {
-                // Silence proves the whole pre-image absent.
-                for &id in tags {
-                    // A tag previously proven present cannot be in an
-                    // empty slot on an ideal channel; if the oracle
-                    // contradicts itself we keep the stronger (missing)
-                    // claim out and trust the earlier proof.
-                    if self.unresolved.remove(&id) {
-                        self.missing.insert(id);
-                    }
-                }
-            } else {
-                let candidates: Vec<TagId> = tags
-                    .iter()
-                    .copied()
-                    .filter(|id| self.unresolved.contains(id))
-                    .collect();
-                let known_present_in_slot = tags.iter().any(|id| self.present.contains(id));
-                // Energy with exactly one viable explanation proves it.
-                if !known_present_in_slot && candidates.len() == 1 {
-                    let id = candidates[0];
-                    self.unresolved.remove(&id);
-                    self.present.insert(id);
-                }
-            }
-        }
-        Ok(())
-    }
-}
+use crate::trp::{slot, TrpChallenge};
 
 /// Outcome of a full identification run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,9 +103,16 @@ impl Default for IdentifyConfig {
 /// # }
 /// ```
 ///
+/// The frame is `registry.len() × frame_factor` slots (a factor of 0
+/// counts as 1, and the frame as at least 8), sized from the registry
+/// as given; repeated IDs are classified once.
+///
 /// # Errors
 ///
-/// Propagates oracle and shape errors.
+/// [`CoreError::InvalidParams`] when `registry.len() × frame_factor`
+/// overflows `u64`, [`CoreError::Sim`] when the frame exceeds
+/// [`FrameSize::MAX`] (both before any RNG draw), and the oracle's
+/// errors and [`CoreError::ResponseShapeMismatch`] as they occur.
 pub fn identify_missing<R, O>(
     registry: &[TagId],
     config: IdentifyConfig,
@@ -234,31 +124,117 @@ where
     O: FnMut(&TrpChallenge) -> Result<Bitstring, CoreError>,
 {
     let n = registry.len() as u64;
-    let f = FrameSize::new((n * config.frame_factor.max(1)).max(8))?;
-    let mut identifier = Identifier::new(registry.iter().copied());
+    let Some(slots) = n.checked_mul(config.frame_factor.max(1)) else {
+        return Err(CoreError::InvalidParams {
+            reason: format!(
+                "identification frame of {n} tags × frame_factor {} overflows",
+                config.frame_factor
+            ),
+        });
+    };
+    let f = FrameSize::new(slots.max(8))?;
+    let frame = FastMod::new(f);
 
-    while !identifier.is_complete() && identifier.rounds() < config.max_rounds {
+    let mut ids = registry.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let folded: Vec<u64> = ids.iter().map(|id| id.fold64()).collect();
+    let mut status = vec![Status::Unresolved; ids.len()];
+    let mut slot_of = vec![0usize; ids.len()];
+    let mut tally = vec![Tally::default(); f.as_usize()];
+    let mut unresolved = ids.len();
+    let mut rounds = 0;
+
+    while unresolved > 0 && rounds < config.max_rounds {
         let challenge = TrpChallenge::generate(f, rng);
         let observed = scan(&challenge)?;
-        identifier.absorb_round(&challenge, &observed)?;
+        if observed.len() as u64 != f.get() {
+            return Err(CoreError::ResponseShapeMismatch {
+                expected: f.get(),
+                received: observed.len() as u64,
+            });
+        }
+        rounds += 1;
+        let r = challenge.plan().nonce().as_u64();
+
+        // Pass 1: every tag not proven missing can put energy in its
+        // slot (a proven-present one still blocks the singleton rule).
+        tally.fill(Tally::default());
+        for ((&fold, &state), at) in folded.iter().zip(&status).zip(&mut slot_of) {
+            if state == Status::Missing {
+                continue;
+            }
+            *at = slot(fold, r, frame);
+            let t = &mut tally[*at];
+            if state == Status::Unresolved {
+                t.candidates = t.candidates.saturating_add(1);
+            } else {
+                t.present = true;
+            }
+        }
+
+        // Pass 2: silence proves an unresolved tag absent; energy with
+        // exactly one viable explanation proves it present. A tag
+        // proven present is never demoted by a later empty slot: on an
+        // ideal channel that cannot happen, and the earlier proof wins.
+        for (state, &at) in status.iter_mut().zip(&slot_of) {
+            if *state != Status::Unresolved {
+                continue;
+            }
+            let t = tally[at];
+            if !observed.get(at)? {
+                *state = Status::Missing;
+                unresolved -= 1;
+            } else if t.candidates == 1 && !t.present {
+                *state = Status::Present;
+                unresolved -= 1;
+            }
+        }
     }
 
+    let class = |wanted: Status| -> Vec<TagId> {
+        ids.iter()
+            .zip(&status)
+            .filter(|&(_, &state)| state == wanted)
+            .map(|(&id, _)| id)
+            .collect()
+    };
     Ok(IdentifyOutcome {
-        missing: identifier.missing.iter().copied().collect(),
-        present: identifier.present.iter().copied().collect(),
-        unresolved: identifier.unresolved.iter().copied().collect(),
-        rounds: identifier.rounds,
-        slots_used: identifier.slots_used,
+        missing: class(Status::Missing),
+        present: class(Status::Present),
+        unresolved: class(Status::Unresolved),
+        rounds,
+        slots_used: u64::from(rounds) * f.get(),
     })
+}
+
+/// A registry tag's classification.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Unresolved,
+    Present,
+    Missing,
+}
+
+/// What one slot's pre-image holds this round.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Unresolved tags hashing here, saturated at 2 (the rule only
+    /// distinguishes one from more).
+    candidates: u8,
+    /// Whether a tag already proven present hashes here.
+    present: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trp::observed_bitstring;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tagwatch_sim::TagPopulation;
+    use std::collections::BTreeSet;
+    use tagwatch_sim::{slot_for, TagPopulation};
 
     /// Oracle over a fixed present set (ideal channel).
     fn oracle(present: Vec<TagId>) -> impl FnMut(&TrpChallenge) -> Result<Bitstring, CoreError> {
@@ -395,38 +371,278 @@ mod tests {
     }
 
     #[test]
-    fn absorb_round_rejects_shape_mismatch() {
-        let mut id = Identifier::new((1..=10u64).map(TagId::from));
+    fn a_wrong_length_scan_is_rejected() {
+        let registry: Vec<TagId> = (1..=10u64).map(TagId::from).collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let ch = TrpChallenge::generate(FrameSize::new(32).unwrap(), &mut rng);
-        let bad = Bitstring::zeros(31);
-        assert!(matches!(
-            id.absorb_round(&ch, &bad),
-            Err(CoreError::ResponseShapeMismatch { .. })
-        ));
+        let err = identify_missing(&registry, IdentifyConfig::default(), &mut rng, |_| {
+            Ok(Bitstring::zeros(19))
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::ResponseShapeMismatch {
+                expected: 20,
+                received: 19
+            }
+        );
+    }
+
+    #[test]
+    fn an_overflowing_frame_is_an_attributed_error() {
+        // 8 × 2⁶² slots overflows u64: an error naming the factor, not
+        // a wrapped (release) or panicking (debug) multiply.
+        let registry: Vec<TagId> = (1..=8u64).map(TagId::from).collect();
+        let config = IdentifyConfig {
+            frame_factor: 1 << 62,
+            max_rounds: 64,
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let err = identify_missing(&registry, config, &mut rng, oracle(registry.clone()));
+        match err {
+            Err(CoreError::InvalidParams { reason }) => {
+                assert!(
+                    reason.contains("frame_factor 4611686018427387904"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+        // A product that fits u64 but exceeds the largest frame is the
+        // frame-size error; neither consumes the RNG.
+        let config = IdentifyConfig {
+            frame_factor: FrameSize::MAX,
+            max_rounds: 64,
+        };
+        assert_eq!(
+            identify_missing(&registry, config, &mut rng, oracle(registry.clone())),
+            Err(CoreError::Sim(tagwatch_sim::SimError::FrameTooLarge {
+                requested: 8 * FrameSize::MAX
+            }))
+        );
+        let mut fresh = StdRng::seed_from_u64(9);
+        assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
     }
 
     #[test]
     fn classifications_never_flip() {
-        // Once proven, a tag's class is stable across further rounds.
-        let mut rng = StdRng::seed_from_u64(8);
+        // Once proven, a tag's class is stable across further rounds:
+        // the run with a budget of k + 1 rounds extends the run with k.
         let mut floor = TagPopulation::with_sequential_ids(120);
         let registry = floor.ids();
-        floor.remove_random(5, &mut rng).unwrap();
-        let present_ids = floor.ids();
-
-        let f = FrameSize::new(256).unwrap();
-        let mut id = Identifier::new(registry.iter().copied());
-        let mut first_classified: Option<(BTreeSet<TagId>, BTreeSet<TagId>)> = None;
-        for _ in 0..6 {
-            let ch = TrpChallenge::generate(f, &mut rng);
-            let bs = observed_bitstring(&present_ids, &ch);
-            id.absorb_round(&ch, &bs).unwrap();
-            if let Some((ref p, ref m)) = first_classified {
-                assert!(p.is_subset(id.present()), "present flipped");
-                assert!(m.is_subset(id.missing()), "missing flipped");
+        floor
+            .remove_random(5, &mut StdRng::seed_from_u64(8))
+            .unwrap();
+        let budgeted = |max_rounds| {
+            let config = IdentifyConfig {
+                frame_factor: 2,
+                max_rounds,
+            };
+            let mut rng = StdRng::seed_from_u64(8);
+            identify_missing(&registry, config, &mut rng, oracle(floor.ids())).unwrap()
+        };
+        let mut before = budgeted(0);
+        assert_eq!(before.unresolved, registry);
+        for k in 1..6 {
+            let after = budgeted(k);
+            for id in &before.present {
+                assert!(after.present.contains(id), "present flipped");
             }
-            first_classified = Some((id.present().clone(), id.missing().clone()));
+            for id in &before.missing {
+                assert!(after.missing.contains(id), "missing flipped");
+            }
+            before = after;
+        }
+    }
+
+    // ---------------- the set-based reference ----------------
+
+    /// The set-based absorb rule the flat kernel replaced, kept as the
+    /// differential reference.
+    #[derive(Default)]
+    struct Reference {
+        unresolved: BTreeSet<TagId>,
+        present: BTreeSet<TagId>,
+        missing: BTreeSet<TagId>,
+        rounds: u32,
+        slots_used: u64,
+    }
+
+    impl Reference {
+        fn absorb_round(
+            &mut self,
+            challenge: &TrpChallenge,
+            observed: &Bitstring,
+        ) -> Result<(), CoreError> {
+            let f = challenge.frame_size();
+            if observed.len() as u64 != f.get() {
+                return Err(CoreError::ResponseShapeMismatch {
+                    expected: f.get(),
+                    received: observed.len() as u64,
+                });
+            }
+            self.rounds += 1;
+            self.slots_used += f.get();
+            let r = challenge.plan().nonce();
+            let mut preimage: Vec<Vec<TagId>> = vec![Vec::new(); f.as_usize()];
+            for &id in self.unresolved.iter().chain(self.present.iter()) {
+                preimage[slot_for(id, r, f) as usize].push(id);
+            }
+            for (slot, tags) in preimage.iter().enumerate() {
+                if tags.is_empty() {
+                    continue;
+                }
+                if !observed.get(slot)? {
+                    for &id in tags {
+                        if self.unresolved.remove(&id) {
+                            self.missing.insert(id);
+                        }
+                    }
+                } else {
+                    let candidates: Vec<TagId> = tags
+                        .iter()
+                        .copied()
+                        .filter(|id| self.unresolved.contains(id))
+                        .collect();
+                    let known_present_in_slot = tags.iter().any(|id| self.present.contains(id));
+                    if !known_present_in_slot && candidates.len() == 1 {
+                        self.unresolved.remove(&candidates[0]);
+                        self.present.insert(candidates[0]);
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// [`identify_missing`] as it ran over [`Reference`].
+    fn reference_identify<R: Rng, O>(
+        registry: &[TagId],
+        config: IdentifyConfig,
+        rng: &mut R,
+        mut scan: O,
+    ) -> Result<IdentifyOutcome, CoreError>
+    where
+        O: FnMut(&TrpChallenge) -> Result<Bitstring, CoreError>,
+    {
+        let n = registry.len() as u64;
+        let f = FrameSize::new((n * config.frame_factor.max(1)).max(8))?;
+        let mut id = Reference {
+            unresolved: registry.iter().copied().collect(),
+            ..Reference::default()
+        };
+        while !id.unresolved.is_empty() && id.rounds < config.max_rounds {
+            let challenge = TrpChallenge::generate(f, rng);
+            let observed = scan(&challenge)?;
+            id.absorb_round(&challenge, &observed)?;
+        }
+        Ok(IdentifyOutcome {
+            missing: id.missing.into_iter().collect(),
+            present: id.present.into_iter().collect(),
+            unresolved: id.unresolved.into_iter().collect(),
+            rounds: id.rounds,
+            slots_used: id.slots_used,
+        })
+    }
+
+    /// The scan oracles the differential test drives both sides with.
+    #[derive(Debug, Clone, Copy)]
+    enum Field {
+        /// An ideal channel over the present tags.
+        Ideal,
+        /// Arbitrary bits: energy where no tag hashes, silence under
+        /// tags proven present.
+        Arbitrary,
+        /// Ideal rounds, then a bitstring one slot short at round `k`.
+        WrongLength { at: u32 },
+    }
+
+    /// A fresh oracle of kind `field`; two built from the same `seed`
+    /// answer the same challenges alike.
+    fn field_oracle(
+        field: Field,
+        present: Vec<TagId>,
+        seed: u64,
+    ) -> impl FnMut(&TrpChallenge) -> Result<Bitstring, CoreError> {
+        let mut noise = StdRng::seed_from_u64(seed);
+        let mut round = 0u32;
+        move |ch| {
+            round += 1;
+            let f = ch.frame_size().as_usize();
+            Ok(match field {
+                Field::Ideal => observed_bitstring(&present, ch),
+                Field::Arbitrary => {
+                    let density = noise.gen_range(0.0..1.0);
+                    let bits: Vec<bool> = (0..f).map(|_| noise.gen_bool(density)).collect();
+                    Bitstring::from_bools(&bits)
+                }
+                Field::WrongLength { at } if round >= at => Bitstring::zeros(f - 1),
+                Field::WrongLength { .. } => observed_bitstring(&present, ch),
+            })
+        }
+    }
+
+    /// A registry of `n` entries with repeats and fold twins (distinct
+    /// IDs whose halves swap, so `fold64` collides), and a random
+    /// subset of its distinct IDs present on the floor.
+    fn registry_case(n: usize, seed: u64) -> (Vec<TagId>, Vec<TagId>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut registry: Vec<TagId> = Vec::with_capacity(n);
+        while registry.len() < n {
+            let id = match (registry.len(), rng.gen_range(0..10u8)) {
+                (0, _) | (_, 0..=6) => TagId::new(rng.gen()),
+                (len, 7) => registry[rng.gen_range(0..len)],
+                (len, _) => {
+                    let twin = registry[rng.gen_range(0..len)].as_u128();
+                    TagId::new(twin.rotate_left(64))
+                }
+            };
+            registry.push(id);
+        }
+        let keep = rng.gen_range(0.0..1.0);
+        let mut distinct = registry.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let present = distinct
+            .into_iter()
+            .filter(|_| rng.gen_bool(keep))
+            .collect();
+        (registry, present)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn flat_kernel_agrees_with_the_set_reference(
+            n in 1usize..=400,
+            frame_factor in 1u64..=4,
+            max_rounds in 0u32..=64,
+            field in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let (registry, present) = registry_case(n, seed);
+            let field = match field {
+                0 => Field::Ideal,
+                1 => Field::Arbitrary,
+                _ => Field::WrongLength { at: 1 + (seed % 3) as u32 },
+            };
+            let config = IdentifyConfig { frame_factor, max_rounds };
+            let mut flat_rng = StdRng::seed_from_u64(seed ^ 1);
+            let mut set_rng = StdRng::seed_from_u64(seed ^ 1);
+            let flat = identify_missing(
+                &registry,
+                config,
+                &mut flat_rng,
+                field_oracle(field, present.clone(), seed),
+            );
+            let set = reference_identify(
+                &registry,
+                config,
+                &mut set_rng,
+                field_oracle(field, present, seed),
+            );
+            prop_assert_eq!(flat, set, "field {:?}", field);
+            prop_assert_eq!(flat_rng.gen::<u64>(), set_rng.gen::<u64>());
         }
     }
 }

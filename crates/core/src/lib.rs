@@ -90,7 +90,7 @@ pub use frame::{
     trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing,
 };
 pub use groups::{GroupedAudit, GroupedMonitor, GroupedReport};
-pub use identify::{identify_missing, Identifier, IdentifyConfig, IdentifyOutcome};
+pub use identify::{identify_missing, IdentifyConfig, IdentifyOutcome};
 pub use math::{detection_probability, utrp_detection_probability, EmptySlotModel};
 pub use nonce::{NonceCursor, NonceSequence};
 pub use params::MonitorParams;

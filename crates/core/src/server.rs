@@ -282,8 +282,7 @@ impl MonitorServer {
         challenge: TrpChallenge,
         observed: &Bitstring,
     ) -> Result<MonitorReport, CoreError> {
-        let ids = self.registered_ids();
-        let report = trp::verify(&ids, challenge, observed)?;
+        let report = trp::verify_ids(self.registry.keys().copied(), challenge, observed)?;
         self.history.push(report.clone());
         Ok(report)
     }

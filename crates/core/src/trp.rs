@@ -17,10 +17,17 @@
 //! * [`observed_bitstring`] — the *fast* path for Monte-Carlo sweeps:
 //!   pure hashing over the present IDs (exactly what an ideal-channel
 //!   execution observes).
+//!
+//! Every fast-path bitstring — the server's prediction, the faultless
+//! executor's round and the identification oracles — comes from one
+//! writer, `occupancy`, which sets each tag's bit straight into the
+//! [`Bitstring`] and reduces `mod f` with [`FastMod`], bit-identical to
+//! the `%` of [`tagwatch_sim::slot_for`].
 
 use rand::Rng;
 
-use tagwatch_sim::aloha::{predicted_occupancy, FramePlan};
+use tagwatch_sim::aloha::FramePlan;
+use tagwatch_sim::hash::{mix64, FastMod};
 use tagwatch_sim::{Channel, FrameSize, Nonce, Reader, TagId, TagPopulation};
 
 use crate::bitstring::Bitstring;
@@ -67,15 +74,41 @@ impl TrpChallenge {
     }
 }
 
+/// The occupancy bitstring an ideal-channel execution of `challenge`
+/// over `ids` produces: the bit of every tag's slot
+/// `sn = h(id ⊕ r) mod f` is set, every other bit is clear.
+///
+/// [`expected_bitstring`] and [`observed_bitstring`] name the side of
+/// the comparison a call sits on; the server and the executor, which
+/// hold IDs in a registry or on a floor, pass an iterator instead of
+/// collecting a slice.
+pub(crate) fn occupancy<I: IntoIterator<Item = TagId>>(
+    ids: I,
+    challenge: &TrpChallenge,
+) -> Bitstring {
+    let frame = FastMod::new(challenge.frame_size());
+    let r = challenge.plan.nonce().as_u64();
+    let mut bs = Bitstring::zeros(challenge.frame_size().as_usize());
+    for id in ids {
+        bs.insert(slot(id.fold64(), r, frame));
+    }
+    bs
+}
+
+/// The TRP slot of a tag with folded ID `fold` under nonce `r`: the
+/// slot [`tagwatch_sim::slot_for`] picks, with the reduction by
+/// [`FastMod`].
+#[inline]
+pub(crate) fn slot(fold: u64, r: u64, frame: FastMod) -> usize {
+    // Lossless: the remainder is below the frame, at most 2^24 slots.
+    frame.rem(mix64(fold ^ r)) as usize
+}
+
 /// The bitstring an *intact* set must produce for this challenge — the
 /// server's prediction from its ID registry (§4.1).
 #[must_use]
 pub fn expected_bitstring(ids: &[TagId], challenge: &TrpChallenge) -> Bitstring {
-    Bitstring::from_bools(&predicted_occupancy(
-        ids,
-        challenge.plan.nonce(),
-        challenge.plan.frame_size(),
-    ))
+    occupancy(ids.iter().copied(), challenge)
 }
 
 /// The bitstring an ideal-channel execution over exactly `present_ids`
@@ -120,6 +153,16 @@ pub fn verify(
     challenge: TrpChallenge,
     observed: &Bitstring,
 ) -> Result<MonitorReport, CoreError> {
+    verify_ids(ids.iter().copied(), challenge, observed)
+}
+
+/// [`verify`] over any ID iterator, so the server predicts from its
+/// registry without collecting it first.
+pub(crate) fn verify_ids<I: IntoIterator<Item = TagId>>(
+    ids: I,
+    challenge: TrpChallenge,
+    observed: &Bitstring,
+) -> Result<MonitorReport, CoreError> {
     let f = challenge.frame_size().get();
     if observed.len() as u64 != f {
         return Err(CoreError::ResponseShapeMismatch {
@@ -127,7 +170,7 @@ pub fn verify(
             received: observed.len() as u64,
         });
     }
-    let expected = expected_bitstring(ids, &challenge);
+    let expected = occupancy(ids, &challenge);
     let mismatched = expected.hamming_distance(observed)?;
     Ok(MonitorReport {
         protocol: ProtocolKind::Trp,

@@ -115,6 +115,30 @@ proptest! {
     // ---------------- TRP protocol ----------------
 
     #[test]
+    fn occupancy_writer_equals_the_bool_prediction(
+        raw in prop::collection::vec(any::<u64>(), 0..300),
+        wide in any::<bool>(),
+        r in any::<u64>(),
+        f in 1u64..70_000,
+    ) {
+        // Repeated IDs included; wide IDs fill both halves, so the
+        // writer's fold64 is exercised, not just the low word.
+        let ids: Vec<TagId> = raw
+            .iter()
+            .map(|&x| if wide {
+                TagId::new((u128::from(x.rotate_left(29)) << 64) | u128::from(x))
+            } else {
+                TagId::from(x)
+            })
+            .collect();
+        let f = FrameSize::new(f).unwrap();
+        let ch = TrpChallenge::new(FramePlan::new(f, Nonce::new(r)));
+        let bools = Bitstring::from_bools(&predicted_occupancy(&ids, Nonce::new(r), f));
+        prop_assert_eq!(&trp::expected_bitstring(&ids, &ch), &bools);
+        prop_assert_eq!(&trp::observed_bitstring(&ids, &ch), &bools);
+    }
+
+    #[test]
     fn trp_expected_equals_observed_for_intact_sets(n in 1usize..200, f in 1u64..1024, r in any::<u64>(), seed in any::<u64>()) {
         let _ = seed;
         let pop = TagPopulation::with_sequential_ids(n);
