@@ -30,7 +30,7 @@ use std::fmt;
 
 use tagwatch_core::CoreError;
 use tagwatch_obs::{Obs, ObsEvent};
-use tagwatch_sim::StorageFaultPlan;
+use tagwatch_sim::{FrameSize, StorageFaultPlan};
 use tagwatch_store::checkpoint::CheckpointDoc;
 use tagwatch_store::recovery::recover;
 use tagwatch_store::wal::{RecordKind, WalWriter};
@@ -288,7 +288,16 @@ fn decode_config(payload: &[u8]) -> Result<DurableConfig, DurableError> {
             "detection_deadline" => {
                 config.soak.detection_deadline = value.parse().map_err(|_| bad())?;
             }
-            "desync_window" => config.soak.desync_window = value.parse().map_err(|_| bad())?,
+            "desync_window" => {
+                config.soak.desync_window = value.parse().map_err(|_| bad())?;
+                if config.soak.desync_window > FrameSize::MAX {
+                    return Err(malformed(format!(
+                        "config `desync_window` {value} exceeds {} (2^24), the most \
+                         announcements one lost round can carry",
+                        FrameSize::MAX
+                    )));
+                }
+            }
             "attribution_window" => {
                 config.soak.attribution_window = value.parse().map_err(|_| bad())?;
             }
@@ -735,6 +744,32 @@ mod tests {
         assert!(decode_config(b"not a config").is_err());
         assert!(decode_config("tagwatch-soak-config v1\nseed 1\n".as_bytes()).is_err());
         assert!(decode_config(&[0xff, 0xfe]).is_err());
+    }
+
+    #[test]
+    fn a_desync_window_past_every_round_is_rejected_by_name() {
+        let encoded = encode_config(&DurableConfig {
+            soak: short(),
+            ..DurableConfig::default()
+        });
+        let window = format!("desync_window {}\n", short().desync_window);
+        assert!(encoded.contains(&window));
+        let at_bound = encoded.replace(&window, "desync_window 16777216\n");
+        assert_eq!(
+            decode_config(at_bound.as_bytes())
+                .unwrap()
+                .soak
+                .desync_window,
+            FrameSize::MAX
+        );
+        let past = encoded.replace(&window, "desync_window 1000000000000000\n");
+        match decode_config(past.as_bytes()) {
+            Err(DurableError::MalformedWal { reason }) => assert!(
+                reason.contains("`desync_window` 1000000000000000 exceeds 16777216"),
+                "{reason}"
+            ),
+            other => panic!("expected a malformed-WAL error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -631,8 +631,8 @@ impl Policy {
     /// degenerate: a zero in-tick retry budget with a zero desync
     /// window, an audit budget of 0 with quarantine enabled, a zero
     /// alarm threshold, an invalid site name, a zero identification
-    /// budget with [`EscalateAction::Identify`], or a `frame_factor`
-    /// above [`FrameSize::MAX`].
+    /// budget with [`EscalateAction::Identify`], or a `frame_factor` or
+    /// desync `window` above [`FrameSize::MAX`].
     pub fn validate(&self) -> Result<(), PolicyError> {
         let mut diags = Vec::new();
         self.collect_validation("<policy>", &[], &mut diags);
@@ -717,6 +717,20 @@ impl Policy {
                     FrameSize::MAX
                 )),
                 "frame_factor",
+            ));
+        }
+        if self.desync_window > FrameSize::MAX {
+            diags.push(at(
+                Diagnostic::new(format!(
+                    "`window {}` searches past the longest round",
+                    self.desync_window
+                ))
+                .help(format!(
+                    "one lost round carries at most {} (2^24) announcements, and diagnosis \
+                     time grows linearly with the window; 96 is the default",
+                    FrameSize::MAX
+                )),
+                "desync_window",
             ));
         }
         if self.desyncs_to_quarantine == Some(0) {
@@ -1072,6 +1086,35 @@ mod tests {
         assert!(
             err.message.contains(&format!("--> wide.twp:{line}")),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn a_desync_window_past_every_round_is_pointed_at_its_line() {
+        let text = Policy::default()
+            .to_text()
+            .replace("window 96", "window 1000000000000000");
+        let err = Policy::parse_named(&text, "wide.twp").unwrap_err();
+        assert!(
+            err.message
+                .contains("`window 1000000000000000` searches past the longest round"),
+            "{err}"
+        );
+        let line = text
+            .lines()
+            .position(|l| l == "window 1000000000000000")
+            .unwrap()
+            + 1;
+        assert!(
+            err.message.contains(&format!("--> wide.twp:{line}")),
+            "{err}"
+        );
+        let at_bound = Policy::default()
+            .to_text()
+            .replace("window 96", "window 16777216");
+        assert_eq!(
+            Policy::parse(&at_bound).unwrap().desync_window,
+            FrameSize::MAX
         );
     }
 

@@ -246,6 +246,27 @@ fn identify_names_the_value_it_cannot_run() {
 }
 
 #[test]
+fn a_policy_desync_window_past_every_round_fails_before_any_tick() {
+    let dir = WorkDir::new();
+    let text = include_str!("../../../policies/default.twp")
+        .replace("window 96", "window 1000000000000000");
+    std::fs::write(dir.0.join("wide.twp"), text).unwrap();
+    let out = dir
+        .cli()
+        .args(["soak", "--ticks", "60", "--policy", "wide.twp"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("`window 1000000000000000`") && err.contains("wide.twp:"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty());
+    assert_eq!(dir.files(), vec!["wide.twp".to_string()]);
+}
+
+#[test]
 fn a_policy_frame_factor_past_every_frame_fails_before_any_tick() {
     let dir = WorkDir::new();
     let text = include_str!("../../../policies/default.twp")
