@@ -36,8 +36,7 @@ use rand::rngs::StdRng;
 
 use tagwatch_core::utrp::attributed_round;
 use tagwatch_core::{
-    CoreError, MonitorServer, RegistrySnapshot, RoundExecutor, ServerConfig, StateCapture,
-    StateRestore, Verdict,
+    CoreError, MonitorServer, RegistrySnapshot, RoundExecutor, ServerConfig, Verdict,
 };
 use tagwatch_obs::histogram::{percentile, Histogram};
 use tagwatch_obs::{fnv1a_lines, json_escape, json_f64, FlightDump, Obs, ObsEvent, VerdictKind};
@@ -988,7 +987,7 @@ impl<'a> SoakDriver<'a> {
             "registry",
             self.session
                 .server()
-                .capture_state()
+                .snapshot()
                 .to_text()
                 .lines()
                 .map(str::to_owned),
@@ -1101,7 +1100,7 @@ impl<'a> SoakDriver<'a> {
             desync_window: policy.desync_window,
             ..ServerConfig::default()
         };
-        let server = MonitorServer::restore_state(snapshot, server_config)
+        let server = MonitorServer::from_snapshot(snapshot, server_config)
             .map_err(|e| invalid(format!("checkpoint registry rejected: {e}")))?;
 
         let mut ladder = SessionLadderState::default();

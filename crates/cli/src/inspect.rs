@@ -111,7 +111,7 @@ fn looks_like_policy(text: &str) -> bool {
 /// effective policy, independent of comments or section ordering in
 /// the source file.
 fn summarize_policy(path: &str, text: &str) -> Result<String, CliError> {
-    let policy = Policy::parse_named(text, path).map_err(CliError::new)?;
+    let policy = Policy::parse_named(text, path)?;
     let mut out = format!(
         "{path}: policy document (site `{}`, valid)\neffective policy:\n",
         policy.site
@@ -400,7 +400,7 @@ pub fn run_inspect_diff(path_a: &str, path_b: &str) -> Result<String, CliError> 
         let canonical = |path: &str, text: &str| {
             Policy::parse_named(text, path)
                 .map(|p| p.to_text())
-                .map_err(CliError::new)
+                .map_err(CliError::from)
         };
         (canonical(path_a, &text_a)?, canonical(path_b, &text_b)?)
     } else {

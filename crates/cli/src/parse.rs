@@ -11,6 +11,8 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
+use tagwatch_analytics::PolicyError;
+
 use crate::faults::FaultsCmd;
 use crate::soak::SoakCmd;
 
@@ -150,6 +152,16 @@ impl fmt::Display for CliError {
 }
 
 impl Error for CliError {}
+
+impl From<PolicyError> for CliError {
+    /// A policy error arrives rendered as rustc-style `error:` blocks.
+    /// The binary prints every error after one `error: `, so the first
+    /// block drops its own.
+    fn from(e: PolicyError) -> Self {
+        let message = e.message.strip_prefix("error: ").unwrap_or(&e.message);
+        CliError::new(message)
+    }
+}
 
 /// One flag a command reads: its usage, the flag as typed and then the
 /// placeholder of its value if it takes one (`--seed S`, or `--quick`

@@ -18,7 +18,7 @@ use crate::parse::CliError;
 pub(crate) fn load_policy(path: &str) -> Result<Policy, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::new(format!("cannot read policy file `{path}`: {e}")))?;
-    Policy::parse_named(&text, path).map_err(CliError::new)
+    Ok(Policy::parse_named(&text, path)?)
 }
 
 /// Writes `content` to `path`, creating parent directories.

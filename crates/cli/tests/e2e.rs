@@ -245,44 +245,40 @@ fn identify_names_the_value_it_cannot_run() {
     }
 }
 
+/// Runs `soak` and `faults` on `policies/default.twp` with `from`
+/// replaced by `to`, and checks each fails before it runs, printing the
+/// policy's diagnostic once, after a single `error: ` prefix.
+fn assert_policy_rejected(from: &str, to: &str) {
+    let text = include_str!("../../../policies/default.twp").replace(from, to);
+    for command in [&["soak", "--ticks", "60"][..], &["faults", "--quick"][..]] {
+        let dir = WorkDir::new();
+        std::fs::write(dir.0.join("wide.twp"), &text).unwrap();
+        let out = dir
+            .cli()
+            .args(command)
+            .args(["--policy", "wide.twp"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.starts_with(&format!("error: `{to}`")),
+            "{command:?}: {err}"
+        );
+        assert_eq!(err.matches("error: ").count(), 1, "{command:?}: {err}");
+        assert!(err.contains("wide.twp:"), "{command:?}: {err}");
+        assert!(out.stdout.is_empty(), "{command:?}");
+        assert_eq!(dir.files(), vec!["wide.twp".to_string()], "{command:?}");
+    }
+}
+
 #[test]
 fn a_policy_desync_window_past_every_round_fails_before_any_tick() {
-    let dir = WorkDir::new();
-    let text = include_str!("../../../policies/default.twp")
-        .replace("window 96", "window 1000000000000000");
-    std::fs::write(dir.0.join("wide.twp"), text).unwrap();
-    let out = dir
-        .cli()
-        .args(["soak", "--ticks", "60", "--policy", "wide.twp"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("`window 1000000000000000`") && err.contains("wide.twp:"),
-        "{err}"
-    );
-    assert!(out.stdout.is_empty());
-    assert_eq!(dir.files(), vec!["wide.twp".to_string()]);
+    assert_policy_rejected("window 96", "window 1000000000000000");
 }
 
 #[test]
 fn a_policy_frame_factor_past_every_frame_fails_before_any_tick() {
-    let dir = WorkDir::new();
-    let text = include_str!("../../../policies/default.twp")
-        .replace("frame_factor 2", "frame_factor 4611686018427387904");
-    std::fs::write(dir.0.join("wide.twp"), text).unwrap();
-    let out = dir
-        .cli()
-        .args(["soak", "--ticks", "40", "--policy", "wide.twp"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("`frame_factor 4611686018427387904`") && err.contains("wide.twp:"),
-        "{err}"
-    );
-    assert!(out.stdout.is_empty());
-    assert_eq!(dir.files(), vec!["wide.twp".to_string()]);
+    assert_policy_rejected("frame_factor 2", "frame_factor 4611686018427387904");
+    assert_policy_rejected("frame_factor 2", "frame_factor 99999999999");
 }

@@ -75,7 +75,6 @@ pub mod params;
 pub mod protocol;
 pub mod registry;
 pub mod server;
-pub mod snapshot;
 pub mod timer;
 pub mod trp;
 pub mod utrp;
@@ -97,7 +96,6 @@ pub use params::MonitorParams;
 pub use protocol::{Protocol, Trp, Utrp};
 pub use registry::RegistrySnapshot;
 pub use server::{MonitorServer, ResyncHypothesis, ServerConfig};
-pub use snapshot::{StateCapture, StateRestore};
 pub use timer::ResponseTimer;
 pub use trp::TrpChallenge;
 pub use utrp::{UtrpChallenge, UtrpParticipant, UtrpResponse};

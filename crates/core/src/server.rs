@@ -701,7 +701,10 @@ impl MonitorServer {
     }
 
     /// Restores a server from a snapshot (verification history is not
-    /// persisted; it restarts empty).
+    /// persisted; it restarts empty). A server restored from
+    /// [`MonitorServer::snapshot`] issues and verifies exactly as the
+    /// original would, which the soak checkpoint's warm restart relies
+    /// on.
     ///
     /// # Errors
     ///
@@ -956,6 +959,7 @@ mod tests {
             *server.config(),
         )
         .unwrap();
+        assert_eq!(restored.snapshot(), server.snapshot());
         assert_eq!(restored.params(), server.params());
         assert_eq!(restored.counters_synced(), server.counters_synced());
         for id in server.registered_ids() {
@@ -964,6 +968,11 @@ mod tests {
                 server.counter_of(id).unwrap()
             );
         }
+        // It draws the same next challenge from the same RNG.
+        assert_eq!(
+            format!("{:?}", restored.issue_utrp_challenge(&mut rng(9)).unwrap()),
+            format!("{:?}", server.issue_utrp_challenge(&mut rng(9)).unwrap())
+        );
         // The restored server verifies the field exactly like the old one.
         let ch = restored.issue_utrp_challenge(&mut r).unwrap();
         let mut restored = restored;

@@ -10,10 +10,11 @@
 //!
 //! Two execution paths are provided and tested to agree:
 //!
-//! * [`run_reader`] — the *reference* path: drives real
-//!   [`Tag`](tagwatch_sim::Tag) device models through a
-//!   [`tagwatch_sim::Reader`] over a [`Channel`], including
-//!   failure injection.
+//! * [`run_reader`] — the *reference* path: a
+//!   [`tagwatch_sim::Reader`] runs a presence frame over the tag
+//!   population and a [`Channel`], including failure injection. Each
+//!   present, non-detuned tag hashes its slot statelessly, as the
+//!   server predicts it.
 //! * [`observed_bitstring`] — the *fast* path for Monte-Carlo sweeps:
 //!   pure hashing over the present IDs (exactly what an ideal-channel
 //!   execution observes).
@@ -122,18 +123,15 @@ pub fn observed_bitstring(present_ids: &[TagId], challenge: &TrpChallenge) -> Bi
 
 /// Runs the full reference protocol (Algs. 1–3): the reader broadcasts
 /// the challenge to the population over `channel` and assembles `bs`.
-///
-/// # Errors
-///
-/// Propagates simulation errors from the substrate.
+#[must_use]
 pub fn run_reader(
     reader: &mut Reader,
     challenge: &TrpChallenge,
     tags: &TagPopulation,
     channel: &Channel,
-) -> Result<Bitstring, CoreError> {
-    let execution = reader.run_presence_frame(&challenge.plan, tags, channel)?;
-    Ok(Bitstring::from_bools(&execution.occupancy_bits()))
+) -> Bitstring {
+    let execution = reader.run_presence_frame(&challenge.plan, tags, channel);
+    Bitstring::from_bools(&execution.occupancy_bits())
 }
 
 /// Server-side verification: compares the reader's bitstring with the
@@ -212,7 +210,7 @@ mod tests {
         let pop = TagPopulation::with_sequential_ids(150);
         let ch = challenge(256, 777);
         let mut reader = Reader::new(ReaderConfig::default());
-        let via_reader = run_reader(&mut reader, &ch, &pop, &Channel::ideal()).unwrap();
+        let via_reader = run_reader(&mut reader, &ch, &pop, &Channel::ideal());
         let via_hash = observed_bitstring(&pop.ids(), &ch);
         assert_eq!(via_reader, via_hash);
     }
@@ -304,7 +302,7 @@ mod tests {
         pop.get_mut(ids[7]).unwrap().set_detuned(true);
         let ch = challenge(256, 42);
         let mut reader = Reader::new(ReaderConfig::default());
-        let observed = run_reader(&mut reader, &ch, &pop, &Channel::ideal()).unwrap();
+        let observed = run_reader(&mut reader, &ch, &pop, &Channel::ideal());
         let report = verify(&ids, ch, &observed).unwrap();
         // The detuned tag's slot may be covered by another tag, so
         // NotIntact is likely but not certain; what must hold is that

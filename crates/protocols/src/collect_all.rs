@@ -137,7 +137,7 @@ pub fn collect_all<R: Rng + ?Sized>(
         };
         let f = FrameSize::new(f_raw)?;
         let plan = FramePlan::new(f, Nonce::new(rng.gen()));
-        let round = reader.run_collection_frame(&plan, population, channel)?;
+        let round = reader.run_collection_frame(&plan, population, channel);
         total_slots += f.get();
         duration += round.execution.duration();
         rounds += 1;

@@ -86,8 +86,7 @@ proptest! {
                 rounds: 8,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         prop_assert!(!outcome.saturated);
         let rel = (outcome.estimate - n as f64).abs() / n as f64;
         // 8 rounds at f = 4n: generous 35% bound holds with huge margin

@@ -3,10 +3,9 @@
 //! A round is announced as a [`FramePlan`] `(f, r)`; executing it yields
 //! a [`FrameExecution`] holding the per-slot [`SlotOutcome`]s, summary
 //! [`FrameStats`], and the simulated air time. The module also provides
-//! the *server-side* bulk predictors ([`predicted_slots`],
-//! [`predicted_occupancy`]) that compute, from IDs alone, exactly what an
-//! ideal-channel execution would observe — the heart of the paper's
-//! verification step, and the fast path for large Monte-Carlo sweeps.
+//! the *server-side* bulk predictor [`predicted_occupancy`], which
+//! computes, from IDs alone, exactly what an ideal-channel execution
+//! would observe — the heart of the paper's verification step.
 
 use std::fmt;
 
@@ -14,47 +13,6 @@ use crate::hash::slot_for;
 use crate::ident::{FrameSize, Nonce, TagId};
 use crate::radio::SlotOutcome;
 use crate::time::SimDuration;
-
-/// A zero-based slot position within a frame.
-///
-/// A deliberate newtype so slot positions cannot be confused with frame
-/// sizes or tag counts in protocol signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SlotIndex(u64);
-
-impl SlotIndex {
-    /// Creates a slot index.
-    #[must_use]
-    pub const fn new(index: u64) -> Self {
-        SlotIndex(index)
-    }
-
-    /// The raw zero-based index.
-    #[must_use]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// The index as `usize` for vector addressing.
-    #[must_use]
-    pub fn as_usize(self) -> usize {
-        // lint:allow(s2-panic): slot indices are residues mod a frame size, and frames are capped at FrameSize::MAX = 2^24, which fits usize on every supported platform
-        usize::try_from(self.0).expect("slot index fits usize")
-    }
-}
-
-impl fmt::Display for SlotIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "slot {}", self.0)
-    }
-}
-
-impl From<u64> for SlotIndex {
-    fn from(index: u64) -> Self {
-        SlotIndex(index)
-    }
-}
 
 /// An announced frame: size `f` plus nonce `r`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,14 +156,6 @@ impl FrameExecution {
     }
 }
 
-/// Server-side prediction of each tag's slot for a plain frame:
-/// `sn_i = h(id_i ⊕ r) mod f` (paper §4.1 — possible precisely because
-/// low-cost tags pick slots deterministically).
-#[must_use]
-pub fn predicted_slots(ids: &[TagId], r: Nonce, f: FrameSize) -> Vec<u64> {
-    ids.iter().map(|&id| slot_for(id, r, f)).collect()
-}
-
 /// Server-side prediction of the occupancy bitstring an ideal-channel
 /// execution of `(f, r)` over `ids` would produce.
 #[must_use]
@@ -224,15 +174,6 @@ mod tests {
 
     fn plan(f: u64, r: u64) -> FramePlan {
         FramePlan::new(FrameSize::new(f).unwrap(), Nonce::new(r))
-    }
-
-    #[test]
-    fn slot_index_accessors() {
-        let s = SlotIndex::new(5);
-        assert_eq!(s.get(), 5);
-        assert_eq!(s.as_usize(), 5);
-        assert_eq!(s.to_string(), "slot 5");
-        assert_eq!(SlotIndex::from(9u64), SlotIndex::new(9));
     }
 
     #[test]
@@ -290,21 +231,11 @@ mod tests {
         let r = Nonce::new(7);
         let bits = predicted_occupancy(&ids, r, f);
         assert_eq!(bits.len(), 64);
-        for (&id, &slot) in ids.iter().zip(predicted_slots(&ids, r, f).iter()) {
-            assert!(bits[slot as usize], "tag {id} slot unmarked");
+        for &id in &ids {
+            assert!(bits[slot_for(id, r, f) as usize], "tag {id} slot unmarked");
         }
         // Occupied count never exceeds tag count.
         assert!(bits.iter().filter(|&&b| b).count() <= 20);
-    }
-
-    #[test]
-    fn predicted_slots_match_hash() {
-        let ids = [TagId::new(10), TagId::new(20)];
-        let f = FrameSize::new(32).unwrap();
-        let r = Nonce::new(1);
-        let slots = predicted_slots(&ids, r, f);
-        assert_eq!(slots[0], slot_for(ids[0], r, f));
-        assert_eq!(slots[1], slot_for(ids[1], r, f));
     }
 
     #[test]

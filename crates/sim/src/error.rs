@@ -64,13 +64,6 @@ pub enum SimError {
         /// The header byte found.
         header: u8,
     },
-    /// The event queue was asked to schedule an event in the past.
-    ScheduleInPast {
-        /// Current simulation time in microseconds.
-        now_micros: u64,
-        /// Requested (earlier) activation time in microseconds.
-        at_micros: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -109,13 +102,6 @@ impl fmt::Display for SimError {
                 f,
                 "tag id header {header:#04x} is not sgtin-96 (expected 0x30)"
             ),
-            SimError::ScheduleInPast {
-                now_micros,
-                at_micros,
-            } => write!(
-                f,
-                "cannot schedule event at t={at_micros}us before current time t={now_micros}us"
-            ),
         }
     }
 }
@@ -143,10 +129,6 @@ mod tests {
             SimError::InvalidProbability {
                 name: "loss",
                 value: 1.5,
-            },
-            SimError::ScheduleInPast {
-                now_micros: 10,
-                at_micros: 3,
             },
         ];
         for e in errors {

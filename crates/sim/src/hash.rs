@@ -196,46 +196,6 @@ impl FastMod {
     }
 }
 
-/// A reusable slot hasher carrying a domain-separation seed.
-///
-/// All protocol code in this workspace uses the [`slot_for`] /
-/// [`slot_for_counted`] free functions (seed 0, matching the paper's
-/// single shared `h`). `SlotHasher` exists for experiments that need
-/// several *independent* hash functions — e.g. the cardinality-estimation
-/// baseline re-hashes the same population across trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct SlotHasher {
-    seed: u64,
-}
-
-impl SlotHasher {
-    /// Creates a hasher with the given domain-separation seed.
-    #[must_use]
-    pub const fn new(seed: u64) -> Self {
-        SlotHasher { seed }
-    }
-
-    /// The hasher's seed.
-    #[must_use]
-    pub const fn seed(self) -> u64 {
-        self.seed
-    }
-
-    /// 64-bit hash of `(id, r)` under this seed.
-    #[inline]
-    #[must_use]
-    pub fn hash(self, id: TagId, r: Nonce) -> u64 {
-        mix64(id.fold64() ^ r.as_u64() ^ mix64(self.seed ^ 0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// Slot choice in `[0, f)` for a plain frame under this seed.
-    #[inline]
-    #[must_use]
-    pub fn slot(self, id: TagId, r: Nonce, f: FrameSize) -> u64 {
-        reduce(self.hash(id, r), f)
-    }
-}
-
 /// The short random burst a tag transmits to claim a slot (paper
 /// Alg. 2 line 5: "return some random bits").
 ///
@@ -347,35 +307,6 @@ mod tests {
             .sum();
         // 99 degrees of freedom: mean 99, std ~14; 200 is ~7 sigma.
         assert!(chi2 < 200.0, "chi-square too large: {chi2}");
-    }
-
-    #[test]
-    fn seeded_hashers_are_independent() {
-        let f = FrameSize::new(64).unwrap();
-        let h1 = SlotHasher::new(1);
-        let h2 = SlotHasher::new(2);
-        let same = (0..256u64)
-            .filter(|&i| {
-                h1.slot(TagId::from(i), Nonce::new(0), f)
-                    == h2.slot(TagId::from(i), Nonce::new(0), f)
-            })
-            .count();
-        // Expect ~256/64 = 4 collisions by chance; 30 would mean the
-        // seeds barely matter.
-        assert!(same < 30, "seeds not independent: {same} agreements");
-    }
-
-    #[test]
-    fn default_seeded_hasher_matches_free_function_domain() {
-        // SlotHasher::new(0) need not equal slot_for (different domain
-        // separation), but it must at least be deterministic.
-        let f = FrameSize::new(101).unwrap();
-        let h = SlotHasher::default();
-        assert_eq!(
-            h.slot(TagId::new(5), Nonce::new(6), f),
-            h.slot(TagId::new(5), Nonce::new(6), f)
-        );
-        assert_eq!(h.seed(), 0);
     }
 
     #[test]

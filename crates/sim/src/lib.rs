@@ -1,7 +1,7 @@
 //! # tagwatch-sim
 //!
-//! Discrete-event RFID PHY/MAC simulation substrate for the `tagwatch`
-//! missing-tag monitoring system (a reproduction of Tan, Sheng & Li,
+//! RFID PHY/MAC simulation substrate for the `tagwatch` missing-tag
+//! monitoring system (a reproduction of Tan, Sheng & Li,
 //! *"How to Monitor for Missing RFID Tags"*, ICDCS 2008).
 //!
 //! The paper evaluates its protocols purely in simulation, with the
@@ -9,7 +9,6 @@
 //! crate provides that substrate, built from scratch:
 //!
 //! * [`time`] — simulated clock types ([`SimTime`], [`SimDuration`]).
-//! * [`event`] — a deterministic discrete-event scheduler.
 //! * [`hash`] — the deterministic slot-pick hash `h(id ⊕ r) mod f` that
 //!   both tags and the server evaluate (the cornerstone of TRP/UTRP).
 //! * [`tag`] — the passive-tag device model: 96-bit EPC-style ID, the
@@ -24,11 +23,10 @@
 //! * [`markov`] — Markov-modulated channel evolution (named quality
 //!   levels + transition matrix) for long-horizon soak runs.
 //! * [`reader`] — the interrogator device that broadcasts frames and
-//!   observes slot outcomes.
+//!   resolves their slots in order on the channel.
 //! * [`aloha`] — framed-slotted-ALOHA round descriptors and executions.
 //! * [`timing`] — an EPC-Gen2-inspired air-interface timing model, so
 //!   slot counts can also be converted into microseconds.
-//! * [`trace`] — structured event traces for debugging and assertions.
 //! * [`rng`] — deterministic seed derivation for reproducible trials.
 //! * [`epc`] — SGTIN-96 EPC encoding, for production-shaped identities.
 //!
@@ -46,7 +44,7 @@
 //! // Run one framed-slotted-ALOHA presence round: tags answer with a
 //! // short random burst, not their ID.
 //! let frame = FramePlan::new(FrameSize::new(128)?, Nonce::new(42));
-//! let execution = reader.run_presence_frame(&frame, &population, &channel)?;
+//! let execution = reader.run_presence_frame(&frame, &population, &channel);
 //! assert_eq!(execution.outcomes().len(), 128);
 //! # Ok(())
 //! # }
@@ -59,7 +57,6 @@
 pub mod aloha;
 pub mod epc;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod hash;
 pub mod ident;
@@ -71,14 +68,12 @@ pub mod rng;
 pub mod tag;
 pub mod time;
 pub mod timing;
-pub mod trace;
 
-pub use aloha::{FrameExecution, FramePlan, FrameStats, SlotIndex};
+pub use aloha::{FrameExecution, FramePlan, FrameStats};
 pub use epc::{sgtin_batch, Sgtin96};
 pub use error::SimError;
-pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultInjector, FaultPlan, StorageFault, StorageFaultPlan};
-pub use hash::{slot_for, slot_for_counted, FastMod, SlotHasher};
+pub use hash::{slot_for, slot_for_counted, FastMod};
 pub use ident::{FrameSize, Nonce, TagId};
 pub use markov::{ChannelLevel, MarkovChannel};
 pub use population::TagPopulation;
@@ -88,11 +83,10 @@ pub use rng::SeedSequence;
 pub use tag::{Counter, Tag, TagState};
 pub use time::{SimDuration, SimTime};
 pub use timing::TimingModel;
-pub use trace::{Trace, TraceEvent};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::aloha::{FrameExecution, FramePlan, FrameStats, SlotIndex};
+    pub use crate::aloha::{FrameExecution, FramePlan, FrameStats};
     pub use crate::error::SimError;
     pub use crate::fault::{FaultInjector, FaultPlan, StorageFault, StorageFaultPlan};
     pub use crate::hash::{slot_for, slot_for_counted};

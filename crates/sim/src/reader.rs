@@ -2,40 +2,36 @@
 //!
 //! A [`Reader`] broadcasts frame announcements and slot numbers, listens
 //! through a [`Channel`], and accumulates an execution record per frame.
-//! It is the *reference* implementation of the air protocol — tests and
-//! examples drive real [`Tag`](crate::tag::Tag) state machines through
-//! it, while the Monte-Carlo fast paths in downstream crates use the
-//! bulk predictors of [`crate::aloha`] and are tested to agree with it.
+//! It is the *reference* implementation of the air protocol. Presence
+//! frames hash each tag's slot statelessly, as the server predicts it;
+//! collection frames drive real [`Tag`](crate::tag::Tag) state machines,
+//! which decoded tags leave silenced. The Monte-Carlo fast paths in
+//! downstream crates use the bulk predictors of [`crate::aloha`] and are
+//! tested to agree with it.
 //!
-//! Each frame is sequenced through the discrete-event kernel
-//! ([`crate::event::EventQueue`]): the announcement and every slot are
-//! scheduled at their air-interface times from the [`TimingModel`], so
-//! the reader's clock reflects exactly what a timed run would observe.
+//! A frame resolves its slots on the channel one after another, in slot
+//! order, and then bills its air time from the realized outcomes with
+//! the [`TimingModel`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::aloha::{FrameExecution, FramePlan};
-use crate::error::SimError;
-use crate::event::EventQueue;
 use crate::ident::TagId;
 use crate::population::TagPopulation;
 use crate::radio::{Channel, SlotOutcome};
 use crate::tag::{SlotMode, TagReply, TagState};
 use crate::time::SimTime;
 use crate::timing::TimingModel;
-use crate::trace::{Trace, TraceEvent};
 
 /// Reader configuration.
 ///
-/// The default is the paper's cost model: uniform slot timing, tracing
-/// off, RNG seed 0.
+/// The default is the paper's cost model: uniform slot timing, RNG
+/// seed 0.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReaderConfig {
     /// Air-interface timing used to advance the simulated clock.
     pub timing: TimingModel,
-    /// Whether to record a [`Trace`] of every air event.
-    pub trace_enabled: bool,
     /// Seed for the reader's internal RNG (used only by non-ideal
     /// channels for failure injection).
     pub seed: u64,
@@ -64,16 +60,8 @@ pub struct CollectionRound {
 pub struct Reader {
     config: ReaderConfig,
     rng: StdRng,
-    trace: Trace,
     clock: SimTime,
     slots_used: u64,
-}
-
-/// Internal per-frame air event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AirEvent {
-    Announce,
-    Slot(u64),
 }
 
 impl Reader {
@@ -82,11 +70,6 @@ impl Reader {
     pub fn new(config: ReaderConfig) -> Self {
         Reader {
             rng: StdRng::seed_from_u64(config.seed),
-            trace: if config.trace_enabled {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
             config,
             clock: SimTime::ZERO,
             slots_used: 0,
@@ -97,12 +80,6 @@ impl Reader {
     #[must_use]
     pub fn config(&self) -> &ReaderConfig {
         &self.config
-    }
-
-    /// The recorded trace (empty if tracing is disabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Current simulated clock.
@@ -117,13 +94,12 @@ impl Reader {
         self.slots_used
     }
 
-    /// Resets clock, slot counter, trace, and RNG to their initial
-    /// state (a fresh monitoring session).
+    /// Resets clock, slot counter and RNG to their initial state (a
+    /// fresh monitoring session).
     pub fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.config.seed);
         self.clock = SimTime::ZERO;
         self.slots_used = 0;
-        self.trace.clear();
     }
 
     /// Runs one full *presence* frame (TRP, Algs. 1–3): every ready tag
@@ -131,18 +107,12 @@ impl Reader {
     ///
     /// Tags are not mutated: plain-mode slot choice is stateless, and
     /// presence replies do not silence a tag.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for valid inputs; the `Result` is part of
-    /// the stable signature because channel models added later may
-    /// reject configurations.
     pub fn run_presence_frame(
         &mut self,
         plan: &FramePlan,
         tags: &TagPopulation,
         channel: &Channel,
-    ) -> Result<FrameExecution, SimError> {
+    ) -> FrameExecution {
         let f = plan.frame_size();
         // One pass over tags: bucket replies by slot.
         let mut replies: Vec<Vec<TagReply>> = vec![Vec::new(); f.as_usize()];
@@ -157,7 +127,7 @@ impl Reader {
                 bits: crate::hash::short_reply_bits(tag.id(), crate::ident::Nonce::new(sn)),
             });
         }
-        self.drive_frame(plan, replies, channel, false)
+        self.drive_frame(plan, &replies, channel, false)
     }
 
     /// Runs one full *collection* frame: ready tags answer with their
@@ -165,17 +135,12 @@ impl Reader {
     ///
     /// The collect-all baseline calls this repeatedly with shrinking
     /// frames until every tag is silenced.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for valid inputs (see
-    /// [`Reader::run_presence_frame`]).
     pub fn run_collection_frame(
         &mut self,
         plan: &FramePlan,
         tags: &mut TagPopulation,
         channel: &Channel,
-    ) -> Result<CollectionRound, SimError> {
+    ) -> CollectionRound {
         let f = plan.frame_size();
         let mut replies: Vec<Vec<TagReply>> = vec![Vec::new(); f.as_usize()];
         for tag in tags.iter_mut() {
@@ -187,7 +152,7 @@ impl Reader {
                 replies[sn as usize].push(reply);
             }
         }
-        let execution = self.drive_frame(plan, replies, channel, true)?;
+        let execution = self.drive_frame(plan, &replies, channel, true);
 
         let mut collected = Vec::new();
         let mut collided_slots = 0;
@@ -203,73 +168,35 @@ impl Reader {
                 tag.silence();
             }
         }
-        Ok(CollectionRound {
+        CollectionRound {
             execution,
             collected,
             collided_slots,
-        })
+        }
     }
 
-    /// Sequences a frame through the event kernel and resolves each slot
-    /// on the channel.
+    /// Resolves each slot on the channel in slot order, then bills the
+    /// frame's air time from the realized outcomes.
     fn drive_frame(
         &mut self,
         plan: &FramePlan,
-        replies: Vec<Vec<TagReply>>,
+        replies: &[Vec<TagReply>],
         channel: &Channel,
         collection: bool,
-    ) -> Result<FrameExecution, SimError> {
-        let f = plan.frame_size();
+    ) -> FrameExecution {
+        let outcomes: Vec<SlotOutcome> = replies
+            .iter()
+            .map(|slot| channel.resolve_slot(slot, &mut self.rng))
+            .collect();
         let timing = &self.config.timing;
-
-        let mut queue: EventQueue<AirEvent> = EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, AirEvent::Announce)?;
-
-        let mut outcomes: Vec<SlotOutcome> = Vec::with_capacity(f.as_usize());
-        let mut cursor = SimTime::ZERO + timing.frame_announce;
-        for sn in 0..f.get() {
-            cursor += timing.slot_broadcast;
-            queue.schedule_at(cursor, AirEvent::Slot(sn))?;
-            // Reserve the worst-case slot body; actual outcome duration
-            // is accounted below once known.
-            cursor += timing.empty_slot;
-        }
-
-        let frame_start = self.clock;
-        while let Some(event) = queue.pop() {
-            match event.into_event() {
-                AirEvent::Announce => {
-                    self.trace.record(
-                        frame_start + queue.now().saturating_since(SimTime::ZERO),
-                        TraceEvent::FrameAnnounced { f, r: plan.nonce() },
-                    );
-                }
-                AirEvent::Slot(sn) => {
-                    let outcome = channel.resolve_slot(&replies[sn as usize], &mut self.rng);
-                    self.trace.record(
-                        frame_start + queue.now().saturating_since(SimTime::ZERO),
-                        TraceEvent::SlotResolved { slot: sn, outcome },
-                    );
-                    outcomes.push(outcome);
-                }
-            }
-        }
-
-        // Bill exact air time from the realized outcomes.
         let duration = if collection {
             timing.collection_frame_duration(&outcomes)
         } else {
             timing.frame_duration(&outcomes)
         };
         self.clock += duration;
-        self.slots_used += f.get();
-        self.trace.record(
-            self.clock,
-            TraceEvent::RoundCompleted {
-                slots_used: f.get(),
-            },
-        );
-        Ok(FrameExecution::new(*plan, outcomes, duration))
+        self.slots_used += plan.frame_size().get();
+        FrameExecution::new(*plan, outcomes, duration)
     }
 }
 
@@ -291,9 +218,7 @@ mod tests {
         let tags = TagPopulation::with_sequential_ids(200);
         let mut reader = Reader::new(ReaderConfig::default());
         let p = plan(256, 99);
-        let exec = reader
-            .run_presence_frame(&p, &tags, &Channel::ideal())
-            .unwrap();
+        let exec = reader.run_presence_frame(&p, &tags, &Channel::ideal());
         let predicted = predicted_occupancy(&tags.ids(), p.nonce(), p.frame_size());
         assert_eq!(exec.occupancy_bits(), predicted);
     }
@@ -305,9 +230,7 @@ mod tests {
         let tags = TagPopulation::with_sequential_ids(50);
         let mut reader = Reader::new(ReaderConfig::default());
         let p = plan(64, 7);
-        let exec = reader
-            .run_presence_frame(&p, &tags, &Channel::ideal())
-            .unwrap();
+        let exec = reader.run_presence_frame(&p, &tags, &Channel::ideal());
 
         for tag_ref in tags.iter() {
             let mut tag = Tag::new(tag_ref.id());
@@ -328,9 +251,7 @@ mod tests {
         tags.get_mut(ids[0]).unwrap().set_detuned(true);
         tags.get_mut(ids[1]).unwrap().silence();
         let mut reader = Reader::new(ReaderConfig::default());
-        let exec = reader
-            .run_presence_frame(&plan(16, 1), &tags, &Channel::ideal())
-            .unwrap();
+        let exec = reader.run_presence_frame(&plan(16, 1), &tags, &Channel::ideal());
         assert!(exec.occupancy_bits().iter().all(|&b| !b));
     }
 
@@ -339,9 +260,7 @@ mod tests {
         let mut tags = TagPopulation::with_sequential_ids(10);
         let mut reader = Reader::new(ReaderConfig::default());
         // Huge frame: collisions vanish, all 10 decode in one round.
-        let round = reader
-            .run_collection_frame(&plan(4096, 5), &mut tags, &Channel::ideal())
-            .unwrap();
+        let round = reader.run_collection_frame(&plan(4096, 5), &mut tags, &Channel::ideal());
         assert_eq!(round.collected.len(), 10);
         assert_eq!(round.collided_slots, 0);
         assert!(tags.iter().all(|t| t.state() == TagState::Silenced));
@@ -352,9 +271,7 @@ mod tests {
         let mut tags = TagPopulation::with_sequential_ids(300);
         let mut reader = Reader::new(ReaderConfig::default());
         // Tiny frame: mostly collisions.
-        let round = reader
-            .run_collection_frame(&plan(8, 5), &mut tags, &Channel::ideal())
-            .unwrap();
+        let round = reader.run_collection_frame(&plan(8, 5), &mut tags, &Channel::ideal());
         assert!(round.collided_slots > 0);
         // Collided tags stay ready for the next round.
         let ready = tags.iter().filter(|t| t.state() == TagState::Ready).count();
@@ -366,8 +283,8 @@ mod tests {
         let tags = TagPopulation::with_sequential_ids(5);
         let mut reader = Reader::new(ReaderConfig::default());
         let ch = Channel::ideal();
-        reader.run_presence_frame(&plan(10, 1), &tags, &ch).unwrap();
-        reader.run_presence_frame(&plan(20, 2), &tags, &ch).unwrap();
+        reader.run_presence_frame(&plan(10, 1), &tags, &ch);
+        reader.run_presence_frame(&plan(20, 2), &tags, &ch);
         assert_eq!(reader.slots_used(), 30);
         // Uniform timing: clock microseconds == slots.
         assert_eq!(reader.clock().as_micros(), 30);
@@ -376,49 +293,12 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let tags = TagPopulation::with_sequential_ids(5);
-        let mut reader = Reader::new(ReaderConfig {
-            trace_enabled: true,
-            ..ReaderConfig::default()
-        });
-        reader
-            .run_presence_frame(&plan(8, 1), &tags, &Channel::ideal())
-            .unwrap();
+        let mut reader = Reader::new(ReaderConfig::default());
+        reader.run_presence_frame(&plan(8, 1), &tags, &Channel::ideal());
         assert!(reader.slots_used() > 0);
         reader.reset();
         assert_eq!(reader.slots_used(), 0);
         assert_eq!(reader.clock(), SimTime::ZERO);
-        assert!(reader.trace().is_empty());
-    }
-
-    #[test]
-    fn trace_records_announce_slots_and_completion() {
-        let tags = TagPopulation::with_sequential_ids(3);
-        let mut reader = Reader::new(ReaderConfig {
-            trace_enabled: true,
-            ..ReaderConfig::default()
-        });
-        reader
-            .run_presence_frame(&plan(4, 1), &tags, &Channel::ideal())
-            .unwrap();
-        let trace = reader.trace();
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::FrameAnnounced { .. }))
-                .count(),
-            1
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::SlotResolved { .. }))
-                .count(),
-            4
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::RoundCompleted { .. }))
-                .count(),
-            1
-        );
     }
 
     #[test]
@@ -433,14 +313,10 @@ mod tests {
         let ch = Channel::ideal();
 
         let mut presence_reader = Reader::new(cfg);
-        let presence = presence_reader
-            .run_presence_frame(&p, &tags_b, &ch)
-            .unwrap();
+        let presence = presence_reader.run_presence_frame(&p, &tags_b, &ch);
 
         let mut collection_reader = Reader::new(cfg);
-        let collection = collection_reader
-            .run_collection_frame(&p, &mut tags_a, &ch)
-            .unwrap();
+        let collection = collection_reader.run_collection_frame(&p, &mut tags_a, &ch);
 
         // Same slot pattern, but ID bodies dwarf presence bursts — the
         // paper's argument that collect-all is worse than slot counts
@@ -457,9 +333,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let exec = reader
-            .run_presence_frame(&plan(128, 1), &tags, &lossy)
-            .unwrap();
+        let exec = reader.run_presence_frame(&plan(128, 1), &tags, &lossy);
         assert!(exec.occupancy_bits().iter().all(|&b| !b));
     }
 
@@ -478,7 +352,6 @@ mod tests {
             });
             reader
                 .run_presence_frame(&plan(64, 9), &tags, &ch)
-                .unwrap()
                 .occupancy_bits()
         };
         assert_eq!(run(7), run(7));

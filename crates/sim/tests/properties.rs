@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use tagwatch_sim::epc::Sgtin96;
-use tagwatch_sim::event::EventQueue;
 use tagwatch_sim::hash::mix64;
 use tagwatch_sim::tag::{SlotMode, Tag};
 use tagwatch_sim::time::{SimDuration, SimTime};
@@ -123,30 +122,6 @@ proptest! {
         for tag in &removed {
             prop_assert!(tag.id().as_u128() >= 1 && tag.id().as_u128() <= n as u128);
         }
-    }
-
-    // ---------------- event queue ----------------
-
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..10_000, 0..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_micros(t), i).unwrap();
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        let mut popped = 0;
-        while let Some(e) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(e.time() >= lt);
-                if e.time() == lt {
-                    // FIFO among equal times: seq increases.
-                    prop_assert!(e.seq() as usize > lseq);
-                }
-            }
-            last = Some((e.time(), e.seq() as usize));
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
     }
 
     // ---------------- seeds ----------------

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 seed,
                 ..ReaderConfig::default()
             });
-            let bs = trp::run_reader(&mut reader, &ch, &floor, &channel)?;
+            let bs = trp::run_reader(&mut reader, &ch, &floor, &channel);
             if trp::verify(&registry, ch, &bs)?.is_alarm() {
                 false_alarms += 1;
             }
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut floor = TagPopulation::with_sequential_ids(N);
             floor.remove_random((M + 1) as usize, &mut rng)?;
             let ch = TrpChallenge::generate(f, &mut rng);
-            let bs = trp::run_reader(&mut reader, &ch, &floor, &channel)?;
+            let bs = trp::run_reader(&mut reader, &ch, &floor, &channel);
             if !trp::verify(&registry, ch, &bs)?.is_alarm() {
                 missed += 1;
             }
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed,
             ..ReaderConfig::default()
         });
-        let bs = trp::run_reader(&mut reader, &ch, &floor, &channel)?;
+        let bs = trp::run_reader(&mut reader, &ch, &floor, &channel);
         let report = trp::verify(&registry, ch, &bs)?;
         hist.record(report.mismatched_slots as f64);
         counts.push(report.mismatched_slots as f64);

@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Channel::ideal(),
         &EstimateConfig::for_expected(n as u64)?,
         &mut rng,
-    )?;
+    );
     table.push_row([
         "cardinality estimate".to_owned(),
         est.total_slots.to_string(),
@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ReaderConfig::default()
     });
     let challenge = TrpChallenge::generate(f_trp, &mut rng);
-    let _bs = trp::run_reader(&mut trp_reader, &challenge, &stock, &Channel::ideal())?;
+    let _bs = trp::run_reader(&mut trp_reader, &challenge, &stock, &Channel::ideal());
     table.push_row([
         format!("TRP (m = {M})"),
         f_trp.get().to_string(),

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut reader = Reader::new(ReaderConfig::default());
-    let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal())?;
+    let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal());
     let report = server.verify_trp(challenge, &bs)?;
     println!("round 1 (intact):  {report}");
     assert!(report.verdict.is_intact());
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("thief removes {} tags", stolen.len());
 
     let challenge = server.issue_trp_challenge(&mut rng)?;
-    let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal())?;
+    let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal());
     let report = server.verify_trp(challenge, &bs)?;
     println!("round 2 (theft):   {report}");
 

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         timing,
         ..ReaderConfig::default()
     });
-    let bs = trp::run_reader(&mut trp_reader, &challenge, &floor, &Channel::ideal())?;
+    let bs = trp::run_reader(&mut trp_reader, &challenge, &floor, &Channel::ideal());
     let report = server.verify_trp(challenge, &bs)?;
     println!(
         "TRP:         1 frame of {trp_slots} slots ({:.1} s of air time) → {report}",
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Channel::ideal(),
         &EstimateConfig::for_expected(N as u64)?,
         &mut rng,
-    )?;
+    );
     println!(
         "estimation:  n̂ = {:.0} ± {:.0} in {} slots (counts only, no identities)",
         estimate.estimate,
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     floor.remove_random((TOLERANCE + 1) as usize, &mut rng)?;
 
     let challenge = server.issue_trp_challenge(&mut rng)?;
-    let bs = trp::run_reader(&mut trp_reader, &challenge, &floor, &Channel::ideal())?;
+    let bs = trp::run_reader(&mut trp_reader, &challenge, &floor, &Channel::ideal());
     let report = server.verify_trp(challenge, &bs)?;
     println!("morning TRP audit: {report}");
     assert!(report.is_alarm(), "theft beyond tolerance must alarm");

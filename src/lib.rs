@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `tagwatch-sim` | discrete-event RFID substrate: tags, readers, channel, slotted ALOHA, timing |
+//! | [`sim`] | `tagwatch-sim` | slot-level RFID substrate: tags, readers, channel, slotted ALOHA, timing |
 //! | [`core`] | `tagwatch-core` | the paper's protocols: TRP, UTRP, frame-sizing math, the monitoring server |
 //! | [`protocols`] | `tagwatch-protocols` | baselines: collect-all DFSA, query tree, cardinality estimation |
 //! | [`attack`] | `tagwatch-attack` | adversaries: replay, split-set collusion, budgeted UTRP colluders |
@@ -37,7 +37,7 @@
 //! // Routine check: one challenge, one ALOHA frame, one bit per slot.
 //! let challenge = server.issue_trp_challenge(&mut rng)?;
 //! let mut reader = Reader::new(ReaderConfig::default());
-//! let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal())?;
+//! let bs = trp::run_reader(&mut reader, &challenge, &warehouse, &Channel::ideal());
 //! let report = server.verify_trp(challenge, &bs)?;
 //! assert!(report.verdict.is_intact());
 //! println!("{report}; used {} slots", reader.slots_used());

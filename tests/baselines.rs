@@ -47,8 +47,7 @@ fn estimator_brackets_the_true_cardinality() {
             &Channel::ideal(),
             &EstimateConfig::for_expected(n as u64).unwrap(),
             &mut rng,
-        )
-        .unwrap();
+        );
         let rel = (outcome.estimate - n as f64).abs() / n as f64;
         assert!(
             rel < 0.25,

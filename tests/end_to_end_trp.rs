@@ -19,7 +19,7 @@ fn intact_set_passes_over_many_rounds() {
     let mut reader = Reader::new(ReaderConfig::default());
     for round in 0..20 {
         let challenge = server.issue_trp_challenge(&mut rng).unwrap();
-        let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal()).unwrap();
+        let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal());
         let report = server.verify_trp(challenge, &bs).unwrap();
         assert!(report.verdict.is_intact(), "round {round}: {report}");
     }
@@ -38,7 +38,7 @@ fn theft_beyond_tolerance_is_detected_at_design_rate() {
         floor.remove_random(6, &mut rng).unwrap();
         let challenge = server.issue_trp_challenge(&mut rng).unwrap();
         let mut reader = Reader::new(ReaderConfig::default());
-        let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal()).unwrap();
+        let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal());
         let report = trp::verify(&server.registered_ids(), challenge, &bs).unwrap();
         if report.is_alarm() {
             detected += 1;
@@ -115,7 +115,7 @@ fn lossy_channel_fails_safe() {
             seed,
             ..ReaderConfig::default()
         });
-        let bs = trp::run_reader(&mut reader, &challenge, &floor, &lossy).unwrap();
+        let bs = trp::run_reader(&mut reader, &challenge, &floor, &lossy);
         let report = trp::verify(&server.registered_ids(), challenge, &bs).unwrap();
         if !report.is_alarm() {
             missed += 1;
@@ -142,7 +142,7 @@ fn phantom_noise_alarms_rather_than_masks() {
     let mut rng = StdRng::seed_from_u64(77);
     let challenge = server.issue_trp_challenge(&mut rng).unwrap();
     let mut reader = Reader::new(ReaderConfig::default());
-    let bs = trp::run_reader(&mut reader, &challenge, &floor, &noisy).unwrap();
+    let bs = trp::run_reader(&mut reader, &challenge, &floor, &noisy);
     let expected = trp::expected_bitstring(&server.registered_ids(), &challenge);
     // Any phantom bit is a 0→1 flip relative to expectation; check that
     // no expected-1 bit was cleared (phantoms cannot hide tags).
@@ -178,7 +178,7 @@ fn slot_accounting_matches_frame_size() {
     let mut reader = Reader::new(ReaderConfig::default());
     let challenge = server.issue_trp_challenge(&mut rng).unwrap();
     let f = challenge.frame_size().get();
-    let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal()).unwrap();
+    let bs = trp::run_reader(&mut reader, &challenge, &floor, &Channel::ideal());
     assert_eq!(bs.len() as u64, f);
     assert_eq!(reader.slots_used(), f);
     server.verify_trp(challenge, &bs).unwrap();

@@ -27,7 +27,7 @@ fn heavy_reply_loss_causes_alarms_not_crashes() {
             seed,
             ..ReaderConfig::default()
         });
-        let bs = trp::run_reader(&mut reader, &ch, &floor, &lossy).unwrap();
+        let bs = trp::run_reader(&mut reader, &ch, &floor, &lossy);
         if server.verify_trp(ch, &bs).unwrap().is_alarm() {
             alarms += 1;
         }
@@ -63,7 +63,7 @@ fn combined_noise_and_theft_still_detects_theft() {
             seed,
             ..ReaderConfig::default()
         });
-        let bs = trp::run_reader(&mut reader, &ch, &floor, &noisy).unwrap();
+        let bs = trp::run_reader(&mut reader, &ch, &floor, &noisy);
         if !trp::verify(&registry, ch, &bs).unwrap().is_alarm() {
             missed += 1;
         }
@@ -104,7 +104,7 @@ fn detuned_beyond_tolerance_alarms_like_theft() {
         let mut r = StdRng::seed_from_u64(100 + seed);
         let ch = TrpChallenge::generate(f, &mut r);
         let mut reader = Reader::new(ReaderConfig::default());
-        let bs = trp::run_reader(&mut reader, &ch, &floor, &Channel::ideal()).unwrap();
+        let bs = trp::run_reader(&mut reader, &ch, &floor, &Channel::ideal());
         if trp::verify(&registry, ch, &bs).unwrap().is_alarm() {
             alarms += 1;
         }

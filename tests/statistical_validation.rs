@@ -143,7 +143,7 @@ fn device_path_and_fast_path_agree_trial_by_trial() {
         pop.remove_random((m + 1) as usize, &mut rng).unwrap();
         let challenge = TrpChallenge::generate(f, &mut rng);
         let mut reader = Reader::new(ReaderConfig::default());
-        let bs = run_reader(&mut reader, &challenge, &pop, &Channel::ideal()).unwrap();
+        let bs = run_reader(&mut reader, &challenge, &pop, &Channel::ideal());
         let device = verify(&registry, challenge, &bs).unwrap().is_alarm();
 
         assert_eq!(fast, device, "trial {seed} diverged between paths");
