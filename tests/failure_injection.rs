@@ -375,60 +375,82 @@ fn capture_effect_reduces_collisions_for_collect_all() {
 }
 
 // ---------------------------------------------------------------------
-// Unified-executor differential audit: the `RoundExecutor` introduced
-// with the soak subsystem must agree *exactly* with both pre-existing
-// fault engines (the fast participant-array engine behind
+// Unified-executor differential audit: the `RoundExecutor` must agree
+// *exactly* with both fault engines (the count-based engine behind
 // `run_honest_reader_with` and the per-device state-machine engine
-// behind `run_device_round_with`) for arbitrary fault plans, and with
-// the fault-free paths when no faults are configured. Any bitstring or
-// counter divergence between the paths is a regression.
+// behind `run_device_round_with`, the oracle) for arbitrary fault plans
+// and channels, and with the fault-free paths when no faults are
+// configured. Any bitstring, counter or RNG divergence between the
+// paths is a regression.
 // ---------------------------------------------------------------------
 
-fn random_plan(rng: &mut StdRng, frame: u64) -> FaultPlan {
+fn random_plan(rng: &mut StdRng, frame: u64, n: u64) -> FaultPlan {
     use rand::Rng;
     let mut plan = FaultPlan::new();
     for _ in 0..rng.gen_range(0..4u32) {
         plan = plan.lose_replies_at(rng.gen_range(0..frame));
     }
-    if rng.gen_bool(0.5) {
-        let victim = TagId::new(u128::from(rng.gen_range(1..=40u64)));
-        plan = plan.lose_announcement(rng.gen_range(0..30u64), [victim]);
+    for _ in 0..rng.gen_range(0..3u32) {
+        let victims: Vec<TagId> = (0..rng.gen_range(1..4u32))
+            .map(|_| TagId::new(u128::from(rng.gen_range(1..=n))))
+            .collect();
+        plan = plan.lose_announcement(rng.gen_range(0..30u64), victims);
     }
     if rng.gen_bool(0.25) {
         plan = plan.crash_after_slot(rng.gen_range(frame / 2..frame));
     }
     if rng.gen_bool(0.25) {
-        plan = plan.truncate_response(rng.gen_range(1..frame));
+        plan = plan.truncate_response(rng.gen_range(1..frame + 1));
     }
     plan
 }
 
-#[test]
-fn unified_executor_agrees_with_both_legacy_fault_engines() {
-    use tagwatch::core::{run_device_round_with, run_honest_reader_with, RoundExecutor};
+/// A channel probability: zero for pick 0, and above zero, up to
+/// certainty, otherwise.
+fn probability(pick: u8) -> f64 {
+    [0.0, 0.03, 0.2, 0.6, 1.0][usize::from(pick)]
+}
 
-    let channel = Channel::with_config(ChannelConfig {
-        reply_loss_prob: 0.05,
-        phantom_reply_prob: 0.01,
-        capture_prob: 0.2,
-        downlink_loss_prob: 0.02,
-    })
-    .unwrap();
-    let timing = TimingModel::gen2();
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(160))]
 
-    for seed in 0..12u64 {
-        let mut meta_rng = StdRng::seed_from_u64(900 + seed);
-        let mut floor_a = TagPopulation::with_sequential_ids(40);
+    #[test]
+    fn unified_executor_agrees_with_both_legacy_fault_engines(
+        n in 1u64..=60,
+        frame in 1u64..=180,
+        picks in proptest::prop::collection::vec(0u8..=4, 4..5),
+        mute in proptest::prop::collection::vec(0u8..=5, 60..61),
+        advances in proptest::prop::collection::vec(0u64..=3, 60..61),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        use tagwatch::core::{run_device_round_with, run_honest_reader_with, RoundExecutor};
+
+        let channel = Channel::with_config(ChannelConfig {
+            reply_loss_prob: probability(picks[0]),
+            phantom_reply_prob: probability(picks[1]),
+            capture_prob: probability(picks[2]),
+            downlink_loss_prob: probability(picks[3]),
+        })
+        .unwrap();
+        let timing = TimingModel::gen2();
+        let mut meta_rng = StdRng::seed_from_u64(seed);
+        let mut floor_a = TagPopulation::with_sequential_ids(n as usize);
+        // About one tag in six is mute, and counters start up to three
+        // announcements apart.
+        for (i, tag) in floor_a.iter_mut().enumerate() {
+            tag.set_detuned(mute[i] == 0);
+            tag.advance_counter(advances[i]);
+        }
         let mut floor_b = floor_a.clone();
         let mut floor_c = floor_a.clone();
-        let f = FrameSize::new(120).unwrap();
+        let f = FrameSize::new(frame).unwrap();
         let challenge = UtrpChallenge::generate(f, &timing, &mut meta_rng);
-        let plan = random_plan(&mut meta_rng, f.get());
+        let plan = random_plan(&mut meta_rng, frame, n);
 
         let executor = RoundExecutor::new(channel, Some(plan.clone()));
-        let mut rng_a = StdRng::seed_from_u64(7000 + seed);
-        let mut rng_b = StdRng::seed_from_u64(7000 + seed);
-        let mut rng_c = StdRng::seed_from_u64(7000 + seed);
+        let mut rng_a = StdRng::seed_from_u64(seed ^ 0x7000);
+        let mut rng_b = rng_a.clone();
+        let mut rng_c = rng_a.clone();
 
         let a = executor
             .run_utrp_scratch(
@@ -439,33 +461,19 @@ fn unified_executor_agrees_with_both_legacy_fault_engines() {
                 &mut RoundScratch::new(),
             )
             .unwrap();
-        let b = run_honest_reader_with(
-            &mut floor_b,
-            &challenge,
-            &timing,
-            &channel,
-            &plan,
-            &mut rng_b,
-        )
-        .unwrap();
-        let c = run_device_round_with(
-            &mut floor_c,
-            &challenge,
-            &timing,
-            &channel,
-            &plan,
-            &mut rng_c,
-        )
-        .unwrap();
+        let b = run_honest_reader_with(&mut floor_b, &challenge, &timing, &channel, &plan, &mut rng_b)
+            .unwrap();
+        let c = run_device_round_with(&mut floor_c, &challenge, &timing, &channel, &plan, &mut rng_c)
+            .unwrap();
 
-        assert_eq!(a, b, "executor vs honest-reader engine, seed {seed}");
-        assert_eq!(b, c, "participant engine vs device engine, seed {seed}");
-        for (ta, tb) in floor_a.iter().zip(floor_b.iter()) {
-            assert_eq!(ta.counter(), tb.counter(), "counter drift, seed {seed}");
+        proptest::prop_assert_eq!(&a, &b, "executor vs count-based engine");
+        proptest::prop_assert_eq!(&b, &c, "count-based engine vs device engine");
+        for ((ta, tb), tc) in floor_a.iter().zip(floor_b.iter()).zip(floor_c.iter()) {
+            proptest::prop_assert_eq!(ta.counter(), tb.counter(), "counter of {}", ta.id());
+            proptest::prop_assert_eq!(tb.counter(), tc.counter(), "counter of {}", tb.id());
         }
-        for (tb, tc) in floor_b.iter().zip(floor_c.iter()) {
-            assert_eq!(tb.counter(), tc.counter(), "counter drift, seed {seed}");
-        }
+        proptest::prop_assert_eq!(&rng_a, &rng_b, "RNG draws differ");
+        proptest::prop_assert_eq!(&rng_b, &rng_c, "RNG draws differ");
     }
 }
 
