@@ -142,9 +142,16 @@ impl FaultPlan {
     /// Whether `tag` misses announcement number `announcement`.
     #[must_use]
     pub fn misses_announcement(&self, announcement: u64, tag: TagId) -> bool {
-        self.lost_announcements
-            .get(&announcement)
+        self.missed_by(announcement)
             .is_some_and(|tags| tags.contains(&tag))
+    }
+
+    /// The tags scripted to miss announcement number `announcement`, if
+    /// any: one lookup per announcement for executors that then check
+    /// each tag against the set.
+    #[must_use]
+    pub fn missed_by(&self, announcement: u64) -> Option<&BTreeSet<TagId>> {
+        self.lost_announcements.get(&announcement)
     }
 
     /// The slot after which the reader crashes, if scripted.

@@ -77,7 +77,7 @@ pub use hash::{slot_for, slot_for_counted, FastMod};
 pub use ident::{FrameSize, Nonce, TagId};
 pub use markov::{ChannelLevel, MarkovChannel};
 pub use population::TagPopulation;
-pub use radio::{Channel, ChannelConfig, SlotOutcome};
+pub use radio::{Channel, ChannelConfig, Reception, SlotOutcome};
 pub use reader::{Reader, ReaderConfig};
 pub use rng::SeedSequence;
 pub use tag::{Counter, Tag, TagState};

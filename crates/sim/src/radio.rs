@@ -53,6 +53,30 @@ impl SlotOutcome {
     }
 }
 
+/// What the reader hears in one slot, by position rather than by reply:
+/// the result of [`Channel::resolve_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reception {
+    /// No energy detected in the slot.
+    Empty,
+    /// Interference energy in a slot that no reply reached.
+    Phantom,
+    /// One reply decodes: its index among the replies that reached the
+    /// reader.
+    Decoded(usize),
+    /// Several replies reached the reader and none decodes.
+    Collision(u32),
+}
+
+impl Reception {
+    /// Whether the reader detected any energy in the slot (what a
+    /// presence protocol's bitstring records).
+    #[must_use]
+    pub fn is_occupied(self) -> bool {
+        self != Reception::Empty
+    }
+}
+
 /// Physical-layer failure-injection knobs. All probabilities default to
 /// zero (ideal channel).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,47 +175,86 @@ impl Channel {
         self.config == ChannelConfig::default()
     }
 
-    /// Resolves one slot: applies per-reply loss, then classifies the
-    /// surviving transmissions, then applies capture/phantom effects.
-    pub fn resolve_slot<R: Rng + ?Sized>(&self, replies: &[TagReply], rng: &mut R) -> SlotOutcome {
-        if self.config.reply_loss_prob > 0.0 {
-            let surviving: Vec<TagReply> = replies
-                .iter()
-                .copied()
-                .filter(|_| !rng.gen_bool(self.config.reply_loss_prob))
-                .collect();
-            self.classify(&surviving, rng)
+    /// Resolves one slot that `transmitters` replies share, drawing from
+    /// `rng` in a fixed order: one loss draw per reply (reply loss), then
+    /// one phantom draw if no reply got through, or, if several did, one
+    /// capture draw and, on capture, one draw for the decoded reply. An
+    /// ideal channel draws nothing.
+    ///
+    /// Presence rounds, which only need to know whether the slot is
+    /// occupied, resolve each slot from its count alone;
+    /// [`Channel::decode_slot`] resolves the replies themselves.
+    pub fn resolve_slot<R: Rng + ?Sized>(&self, transmitters: usize, rng: &mut R) -> Reception {
+        self.resolve(transmitters, rng, |_| {})
+    }
+
+    /// [`Channel::resolve_slot`] over the replies themselves: the outcome
+    /// carries the reply that decodes. `kept` is scratch for the replies
+    /// that survive reply loss, reused from slot to slot so that a frame
+    /// allocates it once.
+    pub fn decode_slot<R: Rng + ?Sized>(
+        &self,
+        replies: &[TagReply],
+        kept: &mut Vec<TagReply>,
+        rng: &mut R,
+    ) -> SlotOutcome {
+        kept.clear();
+        let reception = self.resolve(replies.len(), rng, |i| kept.push(replies[i]));
+        let surviving = if self.config.reply_loss_prob > 0.0 {
+            kept.as_slice()
         } else {
-            // Hot path: no per-reply loss means the transmission set is
-            // unchanged — classify the borrowed slice directly instead
-            // of cloning it into a Vec for every slot.
-            self.classify(replies, rng)
+            replies
+        };
+        match reception {
+            Reception::Empty => SlotOutcome::Empty,
+            // Interference energy: reads as an undecodable burst.
+            Reception::Phantom => SlotOutcome::Single(TagReply::Presence { bits: 0 }),
+            Reception::Decoded(i) => SlotOutcome::Single(surviving[i]),
+            Reception::Collision(transmitters) => SlotOutcome::Collision { transmitters },
         }
     }
 
-    fn classify<R: Rng + ?Sized>(&self, surviving: &[TagReply], rng: &mut R) -> SlotOutcome {
-        match surviving.len() {
+    /// The one body of [`Channel::resolve_slot`] and
+    /// [`Channel::decode_slot`]: `kept` is told the index of each reply
+    /// that survives reply loss, in order (only when loss is on; without
+    /// it every reply survives).
+    fn resolve<R: Rng + ?Sized>(
+        &self,
+        transmitters: usize,
+        rng: &mut R,
+        mut kept: impl FnMut(usize),
+    ) -> Reception {
+        let loss = self.config.reply_loss_prob;
+        let surviving = if loss > 0.0 {
+            let mut surviving = 0;
+            for i in 0..transmitters {
+                if !rng.gen_bool(loss) {
+                    kept(i);
+                    surviving += 1;
+                }
+            }
+            surviving
+        } else {
+            transmitters
+        };
+        match surviving {
             0 => {
                 if self.config.phantom_reply_prob > 0.0
                     && rng.gen_bool(self.config.phantom_reply_prob)
                 {
-                    // Interference energy: reads as an undecodable burst.
-                    SlotOutcome::Single(TagReply::Presence { bits: 0 })
+                    Reception::Phantom
                 } else {
-                    SlotOutcome::Empty
+                    Reception::Empty
                 }
             }
-            1 => SlotOutcome::Single(surviving[0]),
+            1 => Reception::Decoded(0),
             k => {
                 if self.config.capture_prob > 0.0 && rng.gen_bool(self.config.capture_prob) {
                     // The strongest reply decodes; pick uniformly since
                     // the simulation has no geometry.
-                    let winner = surviving[rng.gen_range(0..k)];
-                    SlotOutcome::Single(winner)
+                    Reception::Decoded(rng.gen_range(0..k))
                 } else {
-                    SlotOutcome::Collision {
-                        transmitters: k as u32,
-                    }
+                    Reception::Collision(k as u32)
                 }
             }
         }
@@ -213,19 +276,26 @@ mod tests {
         TagReply::Presence { bits }
     }
 
+    fn decode(ch: &Channel, replies: &[TagReply], r: &mut StdRng) -> SlotOutcome {
+        ch.decode_slot(replies, &mut Vec::new(), r)
+    }
+
     #[test]
     fn ideal_channel_classifies_plainly() {
         let ch = Channel::ideal();
         let mut r = rng();
-        assert_eq!(ch.resolve_slot(&[], &mut r), SlotOutcome::Empty);
+        assert_eq!(decode(&ch, &[], &mut r), SlotOutcome::Empty);
         assert_eq!(
-            ch.resolve_slot(&[presence(5)], &mut r),
+            decode(&ch, &[presence(5)], &mut r),
             SlotOutcome::Single(presence(5))
         );
         assert_eq!(
-            ch.resolve_slot(&[presence(1), presence(2)], &mut r),
+            decode(&ch, &[presence(1), presence(2)], &mut r),
             SlotOutcome::Collision { transmitters: 2 }
         );
+        assert_eq!(ch.resolve_slot(0, &mut r), Reception::Empty);
+        assert_eq!(ch.resolve_slot(1, &mut r), Reception::Decoded(0));
+        assert_eq!(ch.resolve_slot(3, &mut r), Reception::Collision(3));
     }
 
     #[test]
@@ -258,8 +328,9 @@ mod tests {
         })
         .unwrap();
         let mut r = rng();
-        let out = ch.resolve_slot(&[presence(1), presence(2), presence(3)], &mut r);
+        let out = decode(&ch, &[presence(1), presence(2), presence(3)], &mut r);
         assert_eq!(out, SlotOutcome::Empty);
+        assert_eq!(ch.resolve_slot(3, &mut r), Reception::Empty);
     }
 
     #[test]
@@ -272,7 +343,7 @@ mod tests {
         let mut r = rng();
         let trials = 20_000;
         let lost = (0..trials)
-            .filter(|_| ch.resolve_slot(&[presence(0)], &mut r) == SlotOutcome::Empty)
+            .filter(|_| ch.resolve_slot(1, &mut r) == Reception::Empty)
             .count();
         let rate = lost as f64 / trials as f64;
         assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
@@ -286,7 +357,8 @@ mod tests {
         })
         .unwrap();
         let mut r = rng();
-        assert!(ch.resolve_slot(&[], &mut r).is_occupied());
+        assert!(ch.resolve_slot(0, &mut r).is_occupied());
+        assert!(decode(&ch, &[], &mut r).is_occupied());
     }
 
     #[test]
@@ -298,7 +370,7 @@ mod tests {
         .unwrap();
         let mut r = rng();
         let contenders = [TagReply::Id(TagId::new(1)), TagReply::Id(TagId::new(2))];
-        match ch.resolve_slot(&contenders, &mut r) {
+        match decode(&ch, &contenders, &mut r) {
             SlotOutcome::Single(reply) => assert!(contenders.contains(&reply)),
             other => panic!("capture failed: {other:?}"),
         }
@@ -319,13 +391,39 @@ mod tests {
     }
 
     #[test]
+    fn counts_and_replies_resolve_with_the_same_draws() {
+        // A slot resolved from its count makes the same draws, and hears
+        // the same thing, as the same slot resolved from its replies.
+        let ch = Channel::with_config(ChannelConfig {
+            reply_loss_prob: 0.3,
+            phantom_reply_prob: 0.2,
+            capture_prob: 0.5,
+            ..ChannelConfig::default()
+        })
+        .unwrap();
+        let (mut by_count, mut by_reply) = (rng(), rng());
+        let mut kept = Vec::new();
+        for k in (0..6).cycle().take(600) {
+            let replies: Vec<TagReply> = (0..k).map(|i| TagReply::Id(TagId::new(i))).collect();
+            let heard = ch.resolve_slot(k as usize, &mut by_count);
+            let decoded = ch.decode_slot(&replies, &mut kept, &mut by_reply);
+            assert_eq!(heard.is_occupied(), decoded.is_occupied());
+            if let Reception::Collision(n) = heard {
+                assert_eq!(decoded, SlotOutcome::Collision { transmitters: n });
+            }
+            assert_eq!(by_count.gen::<u32>(), by_reply.gen::<u32>());
+        }
+    }
+
+    #[test]
     fn ideal_channel_does_not_consume_rng() {
         // Reproducibility contract: with an ideal channel the caller's
         // RNG stream is untouched by slot resolution.
         let ch = Channel::ideal();
         let mut r1 = rng();
         let mut r2 = rng();
-        let _ = ch.resolve_slot(&[presence(1)], &mut r1);
+        let _ = ch.resolve_slot(2, &mut r1);
+        let _ = decode(&ch, &[presence(1)], &mut r1);
         let a: u64 = r1.gen();
         let b: u64 = r2.gen();
         assert_eq!(a, b);

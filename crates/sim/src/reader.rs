@@ -184,9 +184,10 @@ impl Reader {
         channel: &Channel,
         collection: bool,
     ) -> FrameExecution {
+        let mut kept = Vec::new();
         let outcomes: Vec<SlotOutcome> = replies
             .iter()
-            .map(|slot| channel.resolve_slot(slot, &mut self.rng))
+            .map(|slot| channel.decode_slot(slot, &mut kept, &mut self.rng))
             .collect();
         let timing = &self.config.timing;
         let duration = if collection {
