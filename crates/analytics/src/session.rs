@@ -241,18 +241,13 @@ impl MonitoringSession {
     /// Starts a session under a declarative [`Policy`]. Prefer
     /// [`MonitoringSession::builder`] or a parsed policy document in
     /// new code; this remains the primitive they finalize into.
+    ///
+    /// The server's frame for the policy's protocol is solved here, so
+    /// no tick pays for it; a sizing error is remembered and returned by
+    /// the first tick.
     #[must_use]
     pub fn new(server: MonitorServer, policy: Policy) -> Self {
-        MonitoringSession {
-            server,
-            policy,
-            consecutive_alarms: 0,
-            desync_strikes: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-            log: Vec::new(),
-            policy_trace: Vec::new(),
-            engine: PooledEngine::new(1),
-        }
+        Self::restore(server, policy, &SessionLadderState::default())
     }
 
     /// Captures the session's escalation-ladder state for a durable
@@ -278,9 +273,16 @@ impl MonitoringSession {
     /// restored session starts with an empty audit log and fresh round
     /// scratch; continuing from it is behaviorally indistinguishable
     /// from the uninterrupted session (same verdicts, same RNG draws,
-    /// same events appended from here on).
+    /// same events appended from here on). Like
+    /// [`MonitoringSession::new`], it solves the restored server's frame
+    /// before the first tick.
     #[must_use]
     pub fn restore(server: MonitorServer, policy: Policy, ladder: &SessionLadderState) -> Self {
+        // Only warms the server's frame memo: an error stays in it.
+        let _ = match policy.protocol {
+            TickProtocol::Trp => server.trp_frame(),
+            TickProtocol::Utrp => server.utrp_frame(),
+        };
         MonitoringSession {
             server,
             policy,
@@ -731,6 +733,41 @@ mod tests {
                 tag.counter()
             );
         }
+    }
+
+    #[test]
+    fn an_unsizable_utrp_session_builds_and_fails_its_first_tick() {
+        // n ≤ m + 1 has no Eq. 3 frame. Building the session solves the
+        // frame and keeps the error, which the first tick returns, in a
+        // new session and in a restored one alike.
+        let policy = Policy {
+            protocol: TickProtocol::Utrp,
+            ..Policy::default()
+        };
+        let floor = TagPopulation::with_sequential_ids(6);
+        let server = MonitorServer::new(floor.ids(), 5, 0.95).unwrap();
+        let restored = MonitoringSession::restore(
+            server.clone(),
+            policy.clone(),
+            &SessionLadderState::default(),
+        );
+        for mut session in [MonitoringSession::new(server, policy), restored] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let err = session.tick(&mut floor.clone(), &mut rng).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidParams { .. }), "{err:?}");
+            assert!(session.log().is_empty());
+            // No draw was made: the error came before the challenge.
+            assert_eq!(rng, StdRng::seed_from_u64(5));
+        }
+        // The same server runs TRP ticks: its Eq. 2 frame exists.
+        let trp = Policy {
+            protocol: TickProtocol::Trp,
+            ..Policy::default()
+        };
+        let server = MonitorServer::new(floor.ids(), 5, 0.95).unwrap();
+        let mut session = MonitoringSession::new(server, trp);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(session.tick(&mut floor.clone(), &mut rng).is_ok());
     }
 
     #[test]
