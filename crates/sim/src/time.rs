@@ -58,13 +58,6 @@ impl SimTime {
             other
         }
     }
-
-    /// Duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -93,8 +86,7 @@ impl Sub<SimTime> for SimTime {
     /// # Panics
     ///
     /// Panics in debug builds if `rhs` is later than `self` (duration
-    /// would be negative). Use [`SimTime::saturating_since`] when the
-    /// ordering is not statically known.
+    /// would be negative).
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "negative SimDuration");
         SimDuration(self.0 - rhs.0)
@@ -220,14 +212,6 @@ mod tests {
         let mut t = SimTime::ZERO;
         t += SimDuration::from_millis(2);
         assert_eq!(t.as_micros(), 2_000);
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = SimTime::from_micros(5);
-        let late = SimTime::from_micros(9);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early).as_micros(), 4);
     }
 
     #[test]
