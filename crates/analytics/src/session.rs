@@ -813,9 +813,8 @@ mod tests {
 
     #[test]
     fn repeated_desync_suspect_is_quarantined_then_released() {
-        use tagwatch_core::faulty::run_honest_reader_with;
         use tagwatch_core::utrp::attributed_round;
-        use tagwatch_core::ServerConfig;
+        use tagwatch_core::{RoundScratch, ServerConfig};
         use tagwatch_sim::{Channel, Counter, FaultPlan};
 
         let mut floor = TagPopulation::with_sequential_ids(25);
@@ -840,15 +839,15 @@ mod tests {
         let first_slot = dry.bitstring.iter_ones().next().unwrap();
         let victim = attribution[first_slot][0];
         let plan = FaultPlan::new().lose_announcement(dry.announcements - 1, [victim]);
-        let response = run_honest_reader_with(
-            &mut floor,
-            &ch1,
-            &timing,
-            &Channel::ideal(),
-            &plan,
-            &mut rng,
-        )
-        .unwrap();
+        let response = RoundExecutor::new(Channel::ideal(), Some(plan))
+            .run_utrp_scratch(
+                &mut floor,
+                &ch1,
+                &timing,
+                &mut rng,
+                &mut RoundScratch::new(),
+            )
+            .unwrap();
         assert!(server
             .verify_utrp(ch1, &response)
             .unwrap()
@@ -1051,9 +1050,8 @@ mod tests {
 
     #[test]
     fn observed_quarantine_latches_dump_and_audit_records_latency() {
-        use tagwatch_core::faulty::run_honest_reader_with;
         use tagwatch_core::utrp::attributed_round;
-        use tagwatch_core::ServerConfig;
+        use tagwatch_core::{RoundScratch, ServerConfig};
         use tagwatch_obs::Obs;
         use tagwatch_sim::{Channel, Counter, FaultPlan};
 
@@ -1076,15 +1074,15 @@ mod tests {
         let first_slot = dry.bitstring.iter_ones().next().unwrap();
         let victim = attribution[first_slot][0];
         let plan = FaultPlan::new().lose_announcement(dry.announcements - 1, [victim]);
-        let response = run_honest_reader_with(
-            &mut floor,
-            &ch1,
-            &timing,
-            &Channel::ideal(),
-            &plan,
-            &mut rng,
-        )
-        .unwrap();
+        let response = RoundExecutor::new(Channel::ideal(), Some(plan))
+            .run_utrp_scratch(
+                &mut floor,
+                &ch1,
+                &timing,
+                &mut rng,
+                &mut RoundScratch::new(),
+            )
+            .unwrap();
         assert!(server
             .verify_utrp(ch1, &response)
             .unwrap()

@@ -1,16 +1,13 @@
-//! The struct-of-arrays UTRP round engine.
+//! The struct-of-arrays UTRP round engine: the one production engine
+//! of a UTRP round. Scanning an array of participant structs through an
+//! index indirection on every announcement is the bottleneck at
+//! million-tag populations: each probe gathers a 24-byte struct
+//! through a second cache line, re-folds the 128-bit tag ID, wraps the
+//! counter in a newtype, and ends in a 64-bit hardware division — tens
+//! of cycles per tag, hundreds of thousands of tags, re-scanned after
+//! *every* reply.
 //!
-//! [`crate::utrp::SubsetRound`] — the original engine — keeps an
-//! array-of-structs `Vec<UtrpParticipant>` and walks it through an
-//! index indirection (`active: Vec<usize>`) on every announcement. At
-//! million-tag populations that layout is the bottleneck: each probe
-//! gathers a 24-byte struct through a second cache line, re-folds the
-//! 128-bit tag ID, wraps the counter in a newtype, and ends in a
-//! 64-bit hardware division — tens of cycles per tag, hundreds of
-//! thousands of tags, re-scanned after *every* reply.
-//!
-//! [`RoundScratch`] re-states the same round over three contiguous
-//! arrays:
+//! [`RoundScratch`] states the round over three contiguous arrays:
 //!
 //! * `folded[i]` — the tag's ID pre-folded to 64 bits (done **once** at
 //!   load, not once per announcement),
@@ -44,6 +41,8 @@
 //! shard minima, won by the members of every shard at that minimum —
 //! the same tags the whole-set scan finds, so results are
 //! shard-independent by construction; the differential tests pin it).
+//! The colluding readers of `tagwatch-attack` step their two tag
+//! subsets with the same kernel.
 //!
 //! ## Engine injection
 //!
@@ -78,11 +77,12 @@
 //!
 //! ## Semantics
 //!
-//! Byte-identical to [`crate::utrp::simulate_round_reference`], the
-//! literal Algs. 6–7 execution: same bitstring, same announcement
-//! count, same post-round counters. The differential and property
-//! tests in [`crate::utrp`] pin the agreement across population sizes,
-//! frame shapes, counter states, and mute subsets.
+//! Byte-identical to [`crate::faulty::run_device_round`], the oracle
+//! that plays Algs. 6–7 slot by slot on the tag state machines: same
+//! bitstring, same announcement count, same post-round counters. The
+//! differential and property tests here and in [`crate::utrp`] pin the
+//! agreement across population sizes, frame shapes, counter states,
+//! and mute subsets.
 
 use tagwatch_sim::hash::{mix64, FastMod};
 use tagwatch_sim::{Counter, FrameSize, TagId, TagPopulation};
@@ -1248,7 +1248,8 @@ impl RoundEngine for RoundScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utrp::{simulate_round_reference, UtrpChallenge};
+    use crate::faulty::device_round_over;
+    use crate::utrp::UtrpChallenge;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tagwatch_sim::TimingModel;
@@ -1274,9 +1275,7 @@ mod tests {
         for (n, f_raw, seed) in [(1u64, 4u64, 1u64), (30, 64, 2), (120, 90, 3), (90, 256, 4)] {
             let ch = challenge(f_raw, seed);
             let parts = mixed_parts(n);
-            let mut reference = parts.clone();
-            let expected =
-                simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
+            let expected = device_round_over(&mut parts.clone(), &ch);
 
             scratch.load_participants(&parts);
             let announcements = scratch.run(ch.frame_size(), ch.nonces()).unwrap();
@@ -1289,16 +1288,14 @@ mod tests {
     fn uniform_counter_key_collapse_is_exact() {
         // All-equal bases take the one-mix64 fast path; shifting a
         // single tag's counter forces the general path. Both must agree
-        // with the reference bit-for-bit.
+        // with the device oracle bit-for-bit.
         let ch = challenge(128, 7);
         for bump in [0u64, 1] {
             let mut parts: Vec<UtrpParticipant> = (1..=60u64)
                 .map(|i| UtrpParticipant::new(TagId::from(i), Counter::new(41)))
                 .collect();
             parts[17].counter = Counter::new(41 + bump);
-            let mut reference = parts.clone();
-            let expected =
-                simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
+            let expected = device_round_over(&mut parts.clone(), &ch);
             let mut scratch = RoundScratch::new();
             scratch.load_participants(&parts);
             scratch.run(ch.frame_size(), ch.nonces()).unwrap();

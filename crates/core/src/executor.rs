@@ -9,12 +9,13 @@
 //! `Option<&FaultPlan>`. Callers run rounds through the executor and
 //! never branch on faultiness again.
 //!
-//! The **faultless-delegation contract** carries over from
-//! [`crate::faulty`]: with an ideal channel and no (or an empty) plan,
-//! every method delegates to its fault-free counterpart, producing
-//! byte-identical output and consuming **zero** randomness from the
-//! caller's RNG. The regression tests in this module pin that contract
-//! for both protocols.
+//! [`RoundExecutor::is_faultless`] is the one place in the workspace
+//! that chooses between the two families: with an ideal channel and no
+//! (or an empty) plan, every method runs the fault-free engine,
+//! producing byte-identical output and consuming **zero** randomness
+//! from the caller's RNG; otherwise it runs the fault-aware one, which
+//! never branches on faultiness itself. The regression tests in this
+//! module pin that contract for both protocols.
 //!
 //! [`trp::observed_bitstring`]: crate::trp::observed_bitstring
 //! [`utrp::run_honest_reader`]: crate::utrp::run_honest_reader
@@ -27,7 +28,7 @@ use tagwatch_sim::{Channel, FastMod, FaultPlan, TagId, TagPopulation, TimingMode
 use crate::bitstring::Bitstring;
 use crate::engine::RoundEngine;
 use crate::error::CoreError;
-use crate::faulty::{run_honest_reader_with, truncated};
+use crate::faulty::{run_honest_reader_with, truncated, validate};
 use crate::trp::{occupancy, slot, TrpChallenge};
 use crate::utrp::{run_honest_reader_scratch, UtrpChallenge, UtrpResponse};
 
@@ -148,9 +149,7 @@ impl RoundExecutor {
     ) -> Result<Bitstring, CoreError> {
         let empty = FaultPlan::new();
         let plan = self.plan.as_ref().unwrap_or(&empty);
-        plan.validate().map_err(|e| CoreError::InvalidParams {
-            reason: format!("invalid fault plan: {e}"),
-        })?;
+        validate(plan)?;
 
         let f = challenge.frame_size();
         let frame = FastMod::new(f);
@@ -195,12 +194,11 @@ impl RoundExecutor {
     /// announcements it actually heard. Long-running drivers (sessions,
     /// soak loops) reuse the engine's buffers tick after tick.
     ///
-    /// Faultless: delegates to
-    /// [`run_honest_reader_scratch`] (byte-identical to
-    /// [`run_honest_reader`](crate::utrp::run_honest_reader), no RNG
-    /// consumption, identical at any thread count); otherwise to
-    /// [`run_honest_reader_with`] — scripted-fault rounds are cold and
-    /// keep their own state.
+    /// Faultless: runs the round on `scratch`, byte-identical to
+    /// [`run_honest_reader`](crate::utrp::run_honest_reader), with no
+    /// RNG consumption, at any thread count. Otherwise it runs the
+    /// count-based fault-aware engine of [`crate::faulty`]:
+    /// scripted-fault rounds are cold and keep their own state.
     ///
     /// This is [`RoundExecutor::run_utrp_scratch_observed`] with no
     /// observer.

@@ -1,6 +1,6 @@
 //! Fault-aware UTRP round execution.
 //!
-//! The executors in [`crate::utrp`] assume the paper's ideal model:
+//! The engines in [`crate::utrp`] assume the paper's ideal model:
 //! every tag hears every announcement, every reply reaches the reader,
 //! and the reader survives the whole frame. This module runs the same
 //! round under a lossy channel ([`Channel`]) and/or a scripted
@@ -19,40 +19,35 @@
 //! * **response truncation** and **clock skew** — transport-level
 //!   corruption of what the server receives.
 //!
-//! With an ideal channel and an empty plan, every executor here
-//! delegates to its fault-free counterpart, so the outputs are
-//! byte-identical and the caller's RNG is never consumed — the
-//! three-implementation agreement tests in [`crate::utrp`] hold
-//! unchanged.
+//! Two bodies run such a round, and neither asks whether the channel
+//! or the plan can alter anything:
+//!
+//! * a count-based engine, which [`RoundExecutor`](crate::RoundExecutor)
+//!   runs when its channel or plan can alter a round — the executor is
+//!   the one place that chooses between it and the faultless engine;
+//! * [`run_device_round`], the UTRP oracle, which plays the round slot
+//!   by slot on the tag state machines. An ideal channel draws no
+//!   random numbers and an empty plan scripts nothing, so on ideal
+//!   inputs it is the paper's round, and every UTRP engine is tested
+//!   against it.
 
 use rand::Rng;
 
 use tagwatch_sim::hash::mix64;
 use tagwatch_sim::tag::SlotMode;
 use tagwatch_sim::{
-    Channel, FastMod, FaultInjector, FaultPlan, FrameSize, TagId, TagPopulation, TimingModel,
+    Channel, FastMod, FaultInjector, FaultPlan, FrameSize, TagPopulation, TimingModel,
 };
 
 use crate::bitstring::Bitstring;
 use crate::error::CoreError;
 use crate::nonce::NonceSequence;
-use crate::utrp::{
-    round_duration, run_device_round, run_honest_reader, simulate_round, RoundOutcome,
-    UtrpParticipant, UtrpResponse,
-};
-
-/// Whether the combination of channel and plan can alter anything.
-fn is_faultless(channel: &Channel, plan: &FaultPlan) -> bool {
-    channel.is_ideal() && plan.is_empty()
-}
+use crate::utrp::{round_duration, RoundOutcome, UtrpChallenge, UtrpParticipant, UtrpResponse};
 
 /// Runs one UTRP round over `participants` under `channel` and `plan`,
 /// advancing each participant's counter by the announcements *it
 /// actually heard* (faults make counters diverge per tag, unlike the
-/// uniform advance of [`simulate_round`]).
-///
-/// With an ideal channel and empty plan this delegates to
-/// [`simulate_round`] (byte-identical result, no RNG consumption).
+/// uniform advance of [`crate::utrp::simulate_round`]).
 ///
 /// The returned [`RoundOutcome`]'s `announcements` counts what the
 /// *reader* broadcast; individual tags may have heard fewer.
@@ -70,7 +65,7 @@ fn is_faultless(channel: &Channel, plan: &FaultPlan) -> bool {
 /// Returns [`CoreError::NonceSequenceExhausted`] if the sequence is too
 /// short, and propagates invalid fault-plan/channel scalars as
 /// [`CoreError::InvalidParams`].
-pub fn simulate_round_with<R: Rng + ?Sized>(
+pub(crate) fn simulate_round_with<R: Rng + ?Sized>(
     participants: &mut [UtrpParticipant],
     f: FrameSize,
     nonces: &NonceSequence,
@@ -78,13 +73,7 @@ pub fn simulate_round_with<R: Rng + ?Sized>(
     plan: &FaultPlan,
     rng: &mut R,
 ) -> Result<RoundOutcome, CoreError> {
-    if is_faultless(channel, plan) {
-        return simulate_round(participants, f, nonces);
-    }
-    plan.validate().map_err(|e| CoreError::InvalidParams {
-        reason: format!("invalid fault plan: {e}"),
-    })?;
-
+    validate(plan)?;
     let total = f.get();
     let downlink_loss = channel.config().downlink_loss_prob;
     let mut bs = Bitstring::zeros(f.as_usize());
@@ -167,6 +156,13 @@ pub(crate) fn truncated(bs: Bitstring, plan: &FaultPlan) -> Bitstring {
     }
 }
 
+/// Rejects a plan with invalid scalars.
+pub(crate) fn validate(plan: &FaultPlan) -> Result<(), CoreError> {
+    plan.validate().map_err(|e| CoreError::InvalidParams {
+        reason: format!("invalid fault plan: {e}"),
+    })
+}
+
 /// Shapes a raw round outcome into the response the server receives:
 /// truncates the bitstring and skews the elapsed clock as scripted.
 fn shape_response(outcome: RoundOutcome, timing: &TimingModel, plan: &FaultPlan) -> UtrpResponse {
@@ -177,26 +173,23 @@ fn shape_response(outcome: RoundOutcome, timing: &TimingModel, plan: &FaultPlan)
     }
 }
 
-/// [`run_honest_reader`] under a lossy channel and scripted faults:
-/// runs the round via [`simulate_round_with`], advances each field
-/// tag's counter by the announcements it actually heard, and applies
+/// The honest reader under a lossy channel and scripted faults: runs
+/// the round via [`simulate_round_with`], advances each field tag's
+/// counter by the announcements it actually heard, and applies
 /// response-level faults (truncation, clock skew) to what the server
-/// will see.
+/// will see. [`crate::RoundExecutor`] runs its fault-aware rounds here.
 ///
 /// # Errors
 ///
 /// Propagates [`simulate_round_with`] errors.
-pub fn run_honest_reader_with<R: Rng + ?Sized>(
+pub(crate) fn run_honest_reader_with<R: Rng + ?Sized>(
     population: &mut TagPopulation,
-    challenge: &crate::utrp::UtrpChallenge,
+    challenge: &UtrpChallenge,
     timing: &TimingModel,
     channel: &Channel,
     plan: &FaultPlan,
     rng: &mut R,
 ) -> Result<UtrpResponse, CoreError> {
-    if is_faultless(channel, plan) {
-        return run_honest_reader(population, challenge, timing);
-    }
     let mut participants: Vec<UtrpParticipant> = population
         .iter()
         .map(|t| UtrpParticipant {
@@ -219,134 +212,166 @@ pub fn run_honest_reader_with<R: Rng + ?Sized>(
     Ok(shape_response(outcome, timing, plan))
 }
 
-/// [`run_device_round`] under a lossy channel and scripted faults —
-/// drives the actual [`tagwatch_sim::Tag`] state machines, skipping
-/// `on_frame` for tags that miss an announcement. Because a stale tag's
-/// pending slot is relative to the *last announcement it heard*, the
-/// loop tracks a per-tag subframe base to poll each device in its own
-/// frame of reference.
+/// The UTRP oracle: runs one honest round over `population` under
+/// `channel` and `plan` by driving the actual [`tagwatch_sim::Tag`]
+/// state machines (Alg. 7) slot by slot, and returns the response the
+/// server would receive.
 ///
-/// Under the same seed this agrees exactly with
-/// [`simulate_round_with`]; the fault-path triangle test and a property
-/// over channels and plans in `tests/failure_injection.rs` assert it.
+/// Each announcement reaches every tag that hears it (`on_frame`
+/// advances its counter and picks its slot); the reader then polls
+/// every tag that has not replied yet, slot after slot, and decodes
+/// each slot's replies on the channel. A tag that missed announcements
+/// keeps the slot it picked at the last one it heard, so each tag is
+/// polled against the start of that announcement's sub-frame. Mute
+/// (detuned) tags hear announcements but never answer; stolen tags are
+/// simply absent from `population`.
+///
+/// On an ideal channel with an empty plan this is the paper's round
+/// and consumes no randomness. Under the same seed it agrees exactly
+/// with every UTRP engine: [`crate::engine::RoundScratch`] on ideal
+/// inputs, and the fault-aware count-based engine behind
+/// [`crate::RoundExecutor`] on any (the property
+/// `unified_executor_agrees_with_both_legacy_fault_engines` in
+/// `tests/failure_injection.rs` pins the latter).
 ///
 /// # Errors
 ///
 /// Propagates [`CoreError::NonceSequenceExhausted`] on a malformed
-/// challenge.
-pub fn run_device_round_with<R: Rng + ?Sized>(
+/// challenge and invalid fault-plan scalars as
+/// [`CoreError::InvalidParams`].
+pub fn run_device_round<R: Rng + ?Sized>(
     population: &mut TagPopulation,
-    challenge: &crate::utrp::UtrpChallenge,
+    challenge: &UtrpChallenge,
     timing: &TimingModel,
     channel: &Channel,
     plan: &FaultPlan,
     rng: &mut R,
 ) -> Result<UtrpResponse, CoreError> {
-    if is_faultless(channel, plan) {
-        return run_device_round(population, challenge, timing);
-    }
-    plan.validate().map_err(|e| CoreError::InvalidParams {
-        reason: format!("invalid fault plan: {e}"),
-    })?;
-
-    let f = challenge.frame_size();
-    let total = f.get();
+    validate(plan)?;
+    let total = challenge.frame_size().get();
     let downlink_loss = channel.config().downlink_loss_prob;
+    let mut bs = Bitstring::zeros(challenge.frame_size().as_usize());
     let mut cursor = challenge.nonces().cursor();
-    let mut bs = Bitstring::zeros(f.as_usize());
     let mut injector = FaultInjector::new(plan);
-    let mut replied: std::collections::BTreeSet<TagId> = std::collections::BTreeSet::new();
-    // Subframe start at each tag's last heard announcement: its pending
-    // slot is relative to this base.
-    let mut base: std::collections::BTreeMap<TagId, u64> = std::collections::BTreeMap::new();
-
-    let mut announce = |population: &mut TagPopulation,
-                        injector: &mut FaultInjector<'_>,
-                        base: &mut std::collections::BTreeMap<TagId, u64>,
-                        f_sub: FrameSize,
-                        subframe_start: u64,
-                        rng: &mut R|
-     -> Result<(), CoreError> {
-        let r = cursor.next_nonce()?;
-        let idx = injector.next_announcement();
-        for tag in population.iter_mut() {
-            let hears = injector.hears(idx, tag.id())
-                && !(downlink_loss > 0.0 && rng.gen_bool(downlink_loss));
-            if !hears {
-                continue;
-            }
-            tag.on_frame(f_sub, r, SlotMode::Counted);
-            base.insert(tag.id(), subframe_start);
-        }
-        Ok(())
-    };
-
-    let mut subframe_start = 0u64;
-    announce(population, &mut injector, &mut base, f, subframe_start, rng)?;
-
-    // The slot's replies, decoded on the channel reply by reply (the
-    // count-based engine resolves the same draws from a count).
+    // Per tag, in population order: the sub-frame start of the last
+    // announcement it heard (`None` until it hears one), and whether it
+    // has replied.
+    let mut heard_at: Vec<Option<u64>> = vec![None; population.len()];
+    let mut replied = vec![false; population.len()];
+    // One slot's replies, and the scratch the channel decodes them in.
     let mut transmissions = Vec::new();
     let mut kept = Vec::new();
-    for global in 0..total {
-        transmissions.clear();
-        for tag in population.iter_mut() {
-            if replied.contains(&tag.id()) || tag.is_detuned() {
-                continue;
-            }
-            let Some(rel) = base.get(&tag.id()).map(|&b| global - b) else {
-                continue; // never heard an announcement; stays silent
-            };
-            if let Some(reply) = tag.on_slot(rel, false) {
-                replied.insert(tag.id());
-                transmissions.push(reply);
-            }
-        }
-        if plan.reply_lost_at(global) {
-            transmissions.clear();
-        }
-        let occupied = channel
-            .decode_slot(&transmissions, &mut kept, rng)
-            .is_occupied();
 
-        if occupied {
-            bs.set(global as usize, true)?;
+    // Announcement `idx` opens the sub-frame [start, total).
+    let mut start = 0u64;
+    loop {
+        let r = cursor.next_nonce()?;
+        let idx = injector.next_announcement();
+        let f_sub = FrameSize::new(total - start)?;
+        for (tag, heard) in population.iter_mut().zip(&mut heard_at) {
+            if injector.hears(idx, tag.id())
+                && !(downlink_loss > 0.0 && rng.gen_bool(downlink_loss))
+            {
+                tag.on_frame(f_sub, r, SlotMode::Counted);
+                *heard = Some(start);
+            }
         }
-        if injector.crashed_after(global) {
-            break;
-        }
-        if occupied {
-            let remaining = total - (global + 1);
-            if remaining == 0 {
+
+        // Poll slot after slot up to the next occupied one, which
+        // triggers the next announcement unless it ends the frame or
+        // the reader crashes.
+        let mut global = start;
+        loop {
+            transmissions.clear();
+            for ((tag, heard), done) in population.iter_mut().zip(&heard_at).zip(&mut replied) {
+                let Some(from) = *heard else {
+                    continue; // never heard an announcement; stays silent
+                };
+                if *done {
+                    continue;
+                }
+                if let Some(reply) = tag.on_slot(global - from, false) {
+                    *done = true;
+                    transmissions.push(reply);
+                }
+            }
+            if plan.reply_lost_at(global) {
+                transmissions.clear();
+            }
+            let occupied = channel
+                .decode_slot(&transmissions, &mut kept, rng)
+                .is_occupied();
+            if occupied {
+                bs.insert(global as usize);
+            }
+            if injector.crashed_after(global) || global + 1 == total {
+                let outcome = RoundOutcome {
+                    bitstring: bs,
+                    announcements: injector.announcements(),
+                };
+                return Ok(shape_response(outcome, timing, plan));
+            }
+            global += 1;
+            if occupied {
                 break;
             }
-            subframe_start = global + 1;
-            let f_sub = FrameSize::new(remaining)?;
-            announce(
-                population,
-                &mut injector,
-                &mut base,
-                f_sub,
-                subframe_start,
-                rng,
-            )?;
         }
+        start = global;
     }
+}
 
-    let outcome = RoundOutcome {
-        bitstring: bs,
-        announcements: injector.announcements(),
-    };
-    Ok(shape_response(outcome, timing, plan))
+/// [`run_device_round`] over `participants` on an ideal channel with an
+/// empty plan: the oracle the differential tests hold every UTRP engine
+/// to. Writes the counters back, and panics if the round drew a random
+/// number.
+#[cfg(test)]
+pub(crate) fn device_round_over(
+    participants: &mut [UtrpParticipant],
+    challenge: &UtrpChallenge,
+) -> RoundOutcome {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use tagwatch_sim::Tag;
+
+    let mut population: TagPopulation = participants
+        .iter()
+        .map(|p| {
+            let mut tag = Tag::with_counter(p.id, p.counter);
+            tag.set_detuned(p.mute);
+            tag
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(999);
+    let response = run_device_round(
+        &mut population,
+        challenge,
+        &TimingModel::gen2(),
+        &Channel::ideal(),
+        &FaultPlan::new(),
+        &mut rng,
+    )
+    .unwrap();
+    assert_eq!(
+        rng,
+        StdRng::seed_from_u64(999),
+        "an ideal round drew a random number"
+    );
+    for (p, tag) in participants.iter_mut().zip(population.iter()) {
+        p.counter = tag.counter();
+    }
+    RoundOutcome {
+        bitstring: response.bitstring,
+        announcements: response.announcements,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utrp::{simulate_round_reference, UtrpChallenge};
+    use crate::utrp::{run_honest_reader, simulate_round};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tagwatch_sim::{ChannelConfig, Counter};
+    use tagwatch_sim::{ChannelConfig, Counter, TagId};
 
     fn challenge(f: u64, seed: u64) -> UtrpChallenge {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -361,15 +386,16 @@ mod tests {
 
     #[test]
     fn faultless_path_is_byte_identical_and_rng_free() {
-        // With all knobs at zero the fault-aware executor must agree
-        // with BOTH fault-free engines exactly and never touch the RNG.
+        // With all knobs at zero both fault-aware bodies run their
+        // general loops, must agree with the fault-free engine exactly,
+        // and never touch the RNG.
         for (n, f_raw, seed) in [(10u64, 32u64, 1u64), (60, 200, 2), (120, 90, 3)] {
             let ch = challenge(f_raw, seed);
             let mut plain = participants(n);
-            let mut reference = plain.clone();
+            let mut device = plain.clone();
             let mut faulty = plain.clone();
             let a = simulate_round(&mut plain, ch.frame_size(), ch.nonces()).unwrap();
-            let b = simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
+            let b = device_round_over(&mut device, &ch);
             let mut rng = StdRng::seed_from_u64(999);
             let c = simulate_round_with(
                 &mut faulty,
@@ -382,18 +408,17 @@ mod tests {
             .unwrap();
             assert_eq!(a, b);
             assert_eq!(a, c);
+            assert_eq!(plain, device);
             assert_eq!(plain, faulty);
-            use rand::Rng as _;
-            let mut fresh = StdRng::seed_from_u64(999);
-            assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>(), "RNG was consumed");
+            assert_eq!(rng, StdRng::seed_from_u64(999), "RNG was consumed");
         }
     }
 
     #[test]
     fn device_and_participant_fault_paths_agree() {
-        // The fault-path triangle: under the same seed, scripted faults
-        // and a lossy channel produce identical bitstrings,
-        // announcement counts, and per-tag counters in both engines.
+        // Under the same seed, scripted faults and a lossy channel
+        // produce identical bitstrings, announcement counts, and per-tag
+        // counters in the count-based engine and the device oracle.
         for (n, f_raw, seed) in [(20usize, 64u64, 5u64), (50, 150, 6)] {
             let ch = challenge(f_raw, seed);
             let plan = FaultPlan::new()
@@ -417,7 +442,7 @@ mod tests {
                 .collect();
 
             let mut rng_dev = StdRng::seed_from_u64(seed ^ 0xdead);
-            let device = run_device_round_with(
+            let device = run_device_round(
                 &mut pop,
                 &ch,
                 &TimingModel::gen2(),

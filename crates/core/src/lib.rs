@@ -84,7 +84,7 @@ pub use bitstring::Bitstring;
 pub use engine::{RoundEngine, RoundScratch, ScanJob, ScanParams, ScanStats, SubframeCursor};
 pub use error::CoreError;
 pub use executor::RoundExecutor;
-pub use faulty::{run_device_round_with, run_honest_reader_with, simulate_round_with};
+pub use faulty::run_device_round;
 pub use frame::{
     trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing,
 };
@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::bitstring::Bitstring;
     pub use crate::error::CoreError;
     pub use crate::executor::RoundExecutor;
-    pub use crate::faulty::{run_device_round_with, run_honest_reader_with, simulate_round_with};
+    pub use crate::faulty::run_device_round;
     pub use crate::frame::{trp_frame_size, utrp_frame_size, UtrpSizing};
     pub use crate::math::{detection_probability, utrp_detection_probability, EmptySlotModel};
     pub use crate::nonce::NonceSequence;

@@ -26,12 +26,22 @@
 //! announcement count), and the server's mirror stays predictable.
 //! Out-of-range (stolen) tags hear nothing and desynchronize, which is
 //! precisely what makes their later reintroduction detectable.
+//!
+//! ### One engine, one oracle
+//!
+//! Every round in this module — [`simulate_round`],
+//! [`run_honest_reader`], the server's [`expected_round`] and
+//! [`attributed_round`] — runs on one engine, [`RoundScratch`]. Its
+//! oracle is [`run_device_round`](crate::faulty::run_device_round),
+//! which plays the round slot by slot on the tag state machines of
+//! `tagwatch-sim` (on an ideal channel with an empty fault plan, it
+//! draws no random numbers); the differential tests here and in
+//! [`crate::engine`] hold the engine to it.
 
 use rand::Rng;
 
 use tagwatch_obs::Obs;
-use tagwatch_sim::hash::slot_for_counted;
-use tagwatch_sim::{Counter, FrameSize, Nonce, SimDuration, TagId, TagPopulation, TimingModel};
+use tagwatch_sim::{Counter, FrameSize, SimDuration, TagId, TagPopulation, TimingModel};
 
 use crate::bitstring::Bitstring;
 use crate::engine::{RoundEngine, RoundScratch};
@@ -141,129 +151,16 @@ pub struct RoundOutcome {
     pub announcements: u64,
 }
 
-/// One reader's incremental state over a tag subset during a UTRP
-/// round — the original (array-of-structs) engine, kept for the
-/// collusion attack in `tagwatch-attack` and as the baseline the perf
-/// harness measures the struct-of-arrays engine
-/// ([`crate::engine::RoundScratch`], which now backs [`simulate_round`])
-/// against.
-///
-/// Two observations make rounds fast without changing semantics:
-///
-/// 1. Within a sub-frame, only the **minimum** slot any active tag chose
-///    matters — it is the first reply, which immediately triggers the
-///    next re-seed. Everything before it is silence.
-/// 2. Counters advance uniformly (+1 per announcement heard), so the
-///    effective counter is `base + announcements` and no per-tag writes
-///    are needed until the round ends.
-///
-/// The slot-by-slot executable specification is kept as
-/// [`simulate_round_reference`]; the two are tested to agree exactly.
-#[derive(Debug, Clone)]
-pub struct SubsetRound {
-    parts: Vec<UtrpParticipant>,
-    replied: Vec<bool>,
-    active: Vec<usize>,
-    announcements: u64,
-    next_rel: Option<u64>,
-    next_members: Vec<usize>,
-}
-
-impl SubsetRound {
-    /// Starts a round over the given participants (counters at their
-    /// pre-round values).
-    #[must_use]
-    pub fn new(parts: Vec<UtrpParticipant>) -> Self {
-        let active: Vec<usize> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.mute)
-            .map(|(i, _)| i)
-            .collect();
-        let replied = vec![false; parts.len()];
-        SubsetRound {
-            parts,
-            replied,
-            active,
-            announcements: 0,
-            next_rel: None,
-            next_members: Vec::new(),
-        }
-    }
-
-    /// Handles an `(f_sub, r)` announcement: every participant's
-    /// effective counter advances, and the earliest reply slot among
-    /// active participants is recomputed.
-    pub fn announce(&mut self, r: Nonce, f_sub: FrameSize) {
-        self.announcements += 1;
-        self.next_rel = None;
-        self.next_members.clear();
-        for &i in &self.active {
-            let p = &self.parts[i];
-            let ct = Counter::new(p.counter.get().wrapping_add(self.announcements));
-            let sn = slot_for_counted(p.id, r, ct, f_sub);
-            match self.next_rel {
-                Some(best) if sn > best => {}
-                Some(best) if sn == best => self.next_members.push(i),
-                _ => {
-                    self.next_rel = Some(sn);
-                    self.next_members.clear();
-                    self.next_members.push(i);
-                }
-            }
-        }
-    }
-
-    /// The relative slot (within the current sub-frame) of the next
-    /// reply, if any active participant will reply.
-    #[must_use]
-    pub fn next_reply_rel(&self) -> Option<u64> {
-        self.next_rel
-    }
-
-    /// Consumes the pending reply: all tags that chose the minimal slot
-    /// have now answered and keep silent for the rest of the round.
-    pub fn take_reply(&mut self) {
-        for &i in &self.next_members {
-            self.replied[i] = true;
-        }
-        let replied = &self.replied;
-        self.active.retain(|&i| !replied[i]);
-        self.next_rel = None;
-        self.next_members.clear();
-    }
-
-    /// Announcements made so far.
-    #[must_use]
-    pub fn announcements(&self) -> u64 {
-        self.announcements
-    }
-
-    /// Ends the round, returning the participants with their counters
-    /// advanced by the announcement count.
-    #[must_use]
-    pub fn finish(mut self) -> (Vec<UtrpParticipant>, u64) {
-        let announcements = self.announcements;
-        for p in &mut self.parts {
-            p.counter = Counter::new(p.counter.get().wrapping_add(announcements));
-        }
-        (self.parts, announcements)
-    }
-}
-
 /// Executes one honest UTRP round (Algs. 6–7) over `participants`,
 /// advancing their counters in place.
 ///
-/// This one function is used by *both* sides of the protocol: the
-/// server runs it over its registry mirror to predict `bs`, and
-/// [`run_honest_reader`] runs it over the physical population — the
-/// paper's determinism argument made executable.
-///
-/// Internally this is the struct-of-arrays sub-frame-skipping engine
-/// ([`crate::engine::RoundScratch`]), operating **in place** — no
-/// participant clone, no copy-back; [`simulate_round_reference`] is the
-/// literal slot-by-slot form, and the two are tested to agree
-/// bit-for-bit.
+/// Both sides of the protocol run this round on the same
+/// struct-of-arrays engine, [`RoundScratch`]: the server over its
+/// registry mirror ([`expected_round`]) to predict `bs`, and
+/// [`run_honest_reader`] over the physical population — the paper's
+/// determinism argument made executable. The device-level oracle
+/// [`crate::faulty::run_device_round`] plays the round slot by slot,
+/// and the two are tested to agree bit-for-bit.
 ///
 /// # Errors
 ///
@@ -275,101 +172,13 @@ pub fn simulate_round(
     nonces: &NonceSequence,
 ) -> Result<RoundOutcome, CoreError> {
     let mut scratch = RoundScratch::new();
-    let announcements = simulate_round_scratch(&mut scratch, participants, f, nonces)?;
-    Ok(RoundOutcome {
-        bitstring: scratch.take_bitstring(),
-        announcements,
-    })
-}
-
-/// [`simulate_round`] through a caller-owned [`RoundEngine`]
-/// (typically a [`RoundScratch`], or the pooled sharded engine in
-/// `tagwatch-analytics`): loads the participants into the engine's
-/// arrays, runs the round, and
-/// advances every participant's counter in place by the announcement
-/// count. The bitstring stays in the scratch
-/// ([`RoundScratch::bitstring`]) so repeated rounds allocate nothing.
-///
-/// # Errors
-///
-/// Returns [`CoreError::NonceSequenceExhausted`] if the sequence is too
-/// short.
-pub fn simulate_round_scratch<E: RoundEngine>(
-    scratch: &mut E,
-    participants: &mut [UtrpParticipant],
-    f: FrameSize,
-    nonces: &NonceSequence,
-) -> Result<u64, CoreError> {
     scratch.load_participants(participants);
     let announcements = scratch.run(f, nonces)?;
     for p in participants.iter_mut() {
         p.counter = Counter::new(p.counter.get().wrapping_add(announcements));
     }
-    Ok(announcements)
-}
-
-/// The literal slot-by-slot form of Algs. 6–7, kept as an executable
-/// specification of [`simulate_round`] (which must agree exactly).
-///
-/// # Errors
-///
-/// Returns [`CoreError::NonceSequenceExhausted`] if the sequence is too
-/// short.
-pub fn simulate_round_reference(
-    participants: &mut [UtrpParticipant],
-    f: FrameSize,
-    nonces: &NonceSequence,
-) -> Result<RoundOutcome, CoreError> {
-    let total = f.get();
-    let mut bs = Bitstring::zeros(f.as_usize());
-    let mut cursor = nonces.cursor();
-    let mut replied = vec![false; participants.len()];
-    let mut announcements = 0u64;
-
-    // Announce (f', r): every in-range tag increments its counter;
-    // un-replied, un-mute tags pick a relative slot in [0, f').
-    let mut announce = |participants: &mut [UtrpParticipant],
-                        replied: &[bool],
-                        f_sub: FrameSize,
-                        announcements: &mut u64|
-     -> Result<Vec<Vec<usize>>, CoreError> {
-        let r = cursor.next_nonce()?;
-        *announcements += 1;
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); f_sub.as_usize()];
-        for (i, p) in participants.iter_mut().enumerate() {
-            p.counter.increment();
-            if !replied[i] && !p.mute {
-                let sn = slot_for_counted(p.id, r, p.counter, f_sub);
-                buckets[sn as usize].push(i);
-            }
-        }
-        Ok(buckets)
-    };
-
-    let mut subframe_start = 0u64;
-    let mut buckets = announce(participants, &replied, f, &mut announcements)?;
-
-    for global in 0..total {
-        let rel = (global - subframe_start) as usize;
-        if buckets[rel].is_empty() {
-            continue;
-        }
-        bs.set(global as usize, true)?;
-        for &i in &buckets[rel] {
-            replied[i] = true;
-        }
-        // Alg. 6 line 6: f' = f − sn (1-based sn) = slots remaining
-        // after this one. Re-seed only if any slots remain.
-        let remaining = total - (global + 1);
-        if remaining > 0 {
-            subframe_start = global + 1;
-            let f_sub = FrameSize::new(remaining)?;
-            buckets = announce(participants, &replied, f_sub, &mut announcements)?;
-        }
-    }
-
     Ok(RoundOutcome {
-        bitstring: bs,
+        bitstring: scratch.take_bitstring(),
         announcements,
     })
 }
@@ -430,7 +239,8 @@ pub fn run_honest_reader(
 /// population is loaded straight into the engine's arrays (no
 /// intermediate participant `Vec`), and the only per-round allocation
 /// left is the response bitstring itself — the owned artifact handed
-/// to the server.
+/// to the server. [`crate::RoundExecutor`] runs its faultless rounds
+/// here.
 ///
 /// With `obs` enabled the round runs through
 /// [`RoundEngine::run_observed`], so probe and candidate-filter totals
@@ -440,7 +250,7 @@ pub fn run_honest_reader(
 /// # Errors
 ///
 /// Propagates round-simulation errors.
-pub fn run_honest_reader_scratch<E: RoundEngine>(
+pub(crate) fn run_honest_reader_scratch<E: RoundEngine>(
     population: &mut TagPopulation,
     challenge: &UtrpChallenge,
     timing: &TimingModel,
@@ -457,98 +267,13 @@ pub fn run_honest_reader_scratch<E: RoundEngine>(
     for tag in population.iter_mut() {
         tag.advance_counter(announcements);
     }
-    let bitstring = scratch.bitstring().clone();
-    let slots = bitstring.len() as u64;
-    let occupied = bitstring.count_ones() as u64;
-    let elapsed = round_duration_parts(timing, slots, occupied, announcements);
-    Ok(UtrpResponse {
-        bitstring,
-        elapsed,
-        announcements,
-    })
-}
-
-/// Runs one honest UTRP round by driving the **actual tag device state
-/// machines** (`tagwatch_sim::Tag`, Alg. 7) slot by slot — the third
-/// and lowest-level implementation of the round, completing the
-/// triangle with [`simulate_round`] (fast) and
-/// [`simulate_round_reference`] (participant-level spec). All three are
-/// tested to agree exactly.
-///
-/// Mute (detuned) tags hear announcements but never answer; stolen tags
-/// are simply absent from `population`.
-///
-/// # Errors
-///
-/// Propagates [`CoreError::NonceSequenceExhausted`] on a malformed
-/// challenge.
-pub fn run_device_round(
-    population: &mut TagPopulation,
-    challenge: &UtrpChallenge,
-    timing: &TimingModel,
-) -> Result<UtrpResponse, CoreError> {
-    use tagwatch_sim::tag::SlotMode;
-
-    let f = challenge.frame_size();
-    let total = f.get();
-    let mut cursor = challenge.nonces().cursor();
-    let mut bs = Bitstring::zeros(f.as_usize());
-    let mut announcements = 0u64;
-    let mut replied: std::collections::BTreeSet<TagId> = std::collections::BTreeSet::new();
-
-    // Broadcast (f_sub, r): every in-range tag hears it (counter++ via
-    // Tag::on_frame); tags that already replied stay silent regardless.
-    let mut announce = |population: &mut TagPopulation,
-                        f_sub: FrameSize,
-                        announcements: &mut u64|
-     -> Result<Nonce, CoreError> {
-        let r = cursor.next_nonce()?;
-        *announcements += 1;
-        for tag in population.iter_mut() {
-            tag.on_frame(f_sub, r, SlotMode::Counted);
-        }
-        Ok(r)
-    };
-
-    let mut f_sub = f;
-    let mut subframe_start = 0u64;
-    announce(population, f_sub, &mut announcements)?;
-
-    let mut global = 0u64;
-    while global < total {
-        let rel = global - subframe_start;
-        // Poll every device for this slot (Alg. 7 lines 3–5).
-        let mut any_reply = false;
-        for tag in population.iter_mut() {
-            if replied.contains(&tag.id()) || tag.is_detuned() {
-                continue;
-            }
-            if tag.on_slot(rel, false).is_some() {
-                any_reply = true;
-                replied.insert(tag.id());
-            }
-        }
-        if any_reply {
-            bs.set(global as usize, true)?;
-            let remaining = total - (global + 1);
-            if remaining == 0 {
-                break;
-            }
-            subframe_start = global + 1;
-            f_sub = FrameSize::new(remaining)?;
-            announce(population, f_sub, &mut announcements)?;
-        }
-        global += 1;
-    }
-
     let outcome = RoundOutcome {
-        bitstring: bs,
+        bitstring: scratch.bitstring().clone(),
         announcements,
     };
-    let elapsed = round_duration(timing, &outcome);
     Ok(UtrpResponse {
+        elapsed: round_duration(timing, &outcome),
         bitstring: outcome.bitstring,
-        elapsed,
         announcements,
     })
 }
@@ -558,28 +283,12 @@ pub fn run_device_round(
 /// a presence burst).
 #[must_use]
 pub fn round_duration(timing: &TimingModel, outcome: &RoundOutcome) -> SimDuration {
-    round_duration_parts(
-        timing,
-        outcome.bitstring.len() as u64,
-        outcome.bitstring.count_ones() as u64,
-        outcome.announcements,
-    )
-}
-
-/// [`round_duration`] from its raw components, for callers that keep
-/// the bitstring in a scratch buffer rather than a [`RoundOutcome`].
-#[must_use]
-pub fn round_duration_parts(
-    timing: &TimingModel,
-    slots: u64,
-    occupied: u64,
-    announcements: u64,
-) -> SimDuration {
-    let empty = slots - occupied;
-    timing.frame_announce * announcements
+    let slots = outcome.bitstring.len() as u64;
+    let occupied = outcome.bitstring.count_ones() as u64;
+    timing.frame_announce * outcome.announcements
         + timing.slot_broadcast * slots
         + timing.presence_reply * occupied
-        + timing.empty_slot * empty
+        + timing.empty_slot * (slots - occupied)
 }
 
 /// The server-side prediction: what an intact set with the given
@@ -634,8 +343,10 @@ pub fn attributed_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::{device_round_over, run_device_round};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tagwatch_sim::{Channel, FaultPlan};
 
     fn challenge(f: u64, seed: u64) -> UtrpChallenge {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -651,7 +362,7 @@ mod tests {
     #[test]
     fn fast_round_matches_slot_by_slot_reference() {
         // The sub-frame-skipping engine must agree bit-for-bit with the
-        // literal Algs. 6–7 execution — bitstring, announcement count,
+        // slot-by-slot device oracle — bitstring, announcement count,
         // and every final counter — across population shapes.
         for (n, f_raw, seed) in [
             (1usize, 8u64, 1u64),
@@ -670,7 +381,7 @@ mod tests {
                 .collect();
             let mut reference = fast.clone();
             let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
-            let b = simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
+            let b = device_round_over(&mut reference, &ch);
             assert_eq!(a, b, "outcome diverged for n={n} f={f_raw}");
             assert_eq!(fast, reference, "counters diverged for n={n} f={f_raw}");
         }
@@ -678,8 +389,8 @@ mod tests {
 
     #[test]
     fn device_round_matches_fast_and_reference_paths() {
-        // The full triangle: tag-device state machines == participant
-        // spec == fast engine, bitstring / announcements / counters.
+        // Tag-device state machines == fast engine, bitstring /
+        // announcements / counters, with detuned tags in the field.
         for (n, f_raw, detune, seed) in [
             (1usize, 8u64, false, 11u64),
             (25, 60, false, 12),
@@ -701,7 +412,15 @@ mod tests {
                 })
                 .collect();
 
-            let device = run_device_round(&mut pop, &ch, &TimingModel::gen2()).unwrap();
+            let device = run_device_round(
+                &mut pop,
+                &ch,
+                &TimingModel::gen2(),
+                &Channel::ideal(),
+                &FaultPlan::new(),
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap();
             let fast = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
 
             assert_eq!(device.bitstring, fast.bitstring, "n={n} f={f_raw}");
@@ -716,7 +435,7 @@ mod tests {
     #[test]
     fn large_population_rounds_match_reference() {
         // The SoA engine at the scales it was built for. Frames are
-        // kept modest so the O(n·f) reference stays debug-tractable;
+        // kept modest so the O(n·f) device oracle stays tractable;
         // density (n ≫ f) maximizes collisions, sub-frame churn, and
         // swap-remove traffic — the paths most likely to diverge.
         for (n, f_raw, seed) in [(10_000u64, 256u64, 21u64), (100_000, 64, 22)] {
@@ -730,7 +449,7 @@ mod tests {
                 .collect();
             let mut reference = fast.clone();
             let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
-            let b = simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
+            let b = device_round_over(&mut reference, &ch);
             assert_eq!(a, b, "outcome diverged for n={n} f={f_raw}");
             assert_eq!(fast, reference, "counters diverged for n={n} f={f_raw}");
         }
@@ -755,7 +474,15 @@ mod tests {
                 })
                 .collect();
 
-            let device = run_device_round(&mut pop, &ch, &TimingModel::gen2()).unwrap();
+            let device = run_device_round(
+                &mut pop,
+                &ch,
+                &TimingModel::gen2(),
+                &Channel::ideal(),
+                &FaultPlan::new(),
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap();
             let fast = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
 
             assert_eq!(device.bitstring, fast.bitstring, "n={n} f={f_raw}");
@@ -967,22 +694,5 @@ mod tests {
             + timing.presence_reply * 2
             + timing.empty_slot * 2;
         assert_eq!(d, expected);
-    }
-
-    #[test]
-    fn next_reply_rel_is_the_minimal_counted_slot() {
-        // The pending reply is the smallest slot any active participant
-        // picks with its counter advanced by the announcement, and
-        // consuming it clears the pending reply until re-announced.
-        let f_sub = FrameSize::new(16).unwrap();
-        let r = Nonce::new(0xdead_beef);
-        let mut round = SubsetRound::new(participants(40));
-        round.announce(r, f_sub);
-        let best = (1..=40u64)
-            .map(|i| slot_for_counted(TagId::from(i), r, Counter::new(1), f_sub))
-            .min();
-        assert_eq!(round.next_reply_rel(), best);
-        round.take_reply();
-        assert_eq!(round.next_reply_rel(), None);
     }
 }

@@ -164,11 +164,9 @@ proptest! {
         nonce_seed in any::<u64>(),
     ) {
         use rand::SeedableRng;
-        use tagwatch_core::utrp::{
-            simulate_round, simulate_round_reference, UtrpChallenge, UtrpParticipant,
-        };
-        use tagwatch_core::RoundScratch;
-        use tagwatch_sim::{FrameSize, TimingModel};
+        use tagwatch_core::utrp::{simulate_round, UtrpChallenge, UtrpParticipant};
+        use tagwatch_core::{run_device_round, RoundScratch};
+        use tagwatch_sim::{Channel, FaultPlan, FrameSize, Tag, TagPopulation, TimingModel};
 
         // Random population: ids dense, counters arbitrary (uniform
         // bases sometimes — exercising the key-collapse fast path —
@@ -189,12 +187,31 @@ proptest! {
             })
             .collect();
         let pristine = fast.clone();
-        let mut reference = fast.clone();
+        // The device oracle over the same tags, on an ideal channel.
+        let mut floor: TagPopulation = fast
+            .iter()
+            .map(|p| {
+                let mut tag = Tag::with_counter(p.id, p.counter);
+                tag.set_detuned(p.mute);
+                tag
+            })
+            .collect();
 
         let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
-        let b = simulate_round_reference(&mut reference, ch.frame_size(), ch.nonces()).unwrap();
-        prop_assert_eq!(&a, &b, "outcome diverged");
-        prop_assert_eq!(&fast, &reference, "counters diverged");
+        let b = run_device_round(
+            &mut floor,
+            &ch,
+            &TimingModel::gen2(),
+            &Channel::ideal(),
+            &FaultPlan::new(),
+            &mut rng,
+        )
+        .unwrap();
+        prop_assert_eq!(&a.bitstring, &b.bitstring, "outcome diverged");
+        prop_assert_eq!(a.announcements, b.announcements, "outcome diverged");
+        for (p, tag) in fast.iter().zip(floor.iter()) {
+            prop_assert_eq!(p.counter, tag.counter(), "counters diverged");
+        }
 
         // A reused scratch must agree with the one-shot path too.
         let mut scratch = RoundScratch::new();

@@ -164,7 +164,7 @@ fn scripted_desync_is_diagnosed_recovered_and_confirmed() {
     // repairs the mirror without a physical audit, and the round after
     // that verifies intact.
     use tagwatch::core::utrp::attributed_round;
-    use tagwatch::core::{run_honest_reader_with, ResyncHypothesis};
+    use tagwatch::core::{ResyncHypothesis, RoundExecutor};
 
     let mut server = MonitorServer::with_config(
         TagPopulation::with_sequential_ids(40).ids(),
@@ -194,15 +194,15 @@ fn scripted_desync_is_diagnosed_recovered_and_confirmed() {
     let first_occupied = dry.bitstring.iter_ones().next().unwrap();
     let victim = attribution[first_occupied][0];
     let plan = FaultPlan::new().lose_announcement(dry.announcements - 1, [victim]);
-    let response = run_honest_reader_with(
-        &mut floor,
-        &ch1,
-        &timing,
-        &Channel::ideal(),
-        &plan,
-        &mut rng,
-    )
-    .unwrap();
+    let response = RoundExecutor::new(Channel::ideal(), Some(plan))
+        .run_utrp_scratch(
+            &mut floor,
+            &ch1,
+            &timing,
+            &mut rng,
+            &mut RoundScratch::new(),
+        )
+        .unwrap();
     assert!(server
         .verify_utrp(ch1, &response)
         .unwrap()
@@ -376,12 +376,11 @@ fn capture_effect_reduces_collisions_for_collect_all() {
 
 // ---------------------------------------------------------------------
 // Unified-executor differential audit: the `RoundExecutor` must agree
-// *exactly* with both fault engines (the count-based engine behind
-// `run_honest_reader_with` and the per-device state-machine engine
-// behind `run_device_round_with`, the oracle) for arbitrary fault plans
-// and channels, and with the fault-free paths when no faults are
-// configured. Any bitstring, counter or RNG divergence between the
-// paths is a regression.
+// *exactly* with the per-device state-machine oracle behind
+// `run_device_round` for arbitrary fault plans and channels, through
+// its count-based fault engine, and through its fault-free engine when
+// no faults are configured. Any bitstring, counter or RNG divergence
+// between the paths is a regression.
 // ---------------------------------------------------------------------
 
 fn random_plan(rng: &mut StdRng, frame: u64, n: u64) -> FaultPlan {
@@ -423,7 +422,7 @@ proptest::proptest! {
         advances in proptest::prop::collection::vec(0u64..=3, 60..61),
         seed in proptest::prelude::any::<u64>(),
     ) {
-        use tagwatch::core::{run_device_round_with, run_honest_reader_with, RoundExecutor};
+        use tagwatch::core::{run_device_round, RoundExecutor};
 
         let channel = Channel::with_config(ChannelConfig {
             reply_loss_prob: probability(picks[0]),
@@ -442,7 +441,6 @@ proptest::proptest! {
             tag.advance_counter(advances[i]);
         }
         let mut floor_b = floor_a.clone();
-        let mut floor_c = floor_a.clone();
         let f = FrameSize::new(frame).unwrap();
         let challenge = UtrpChallenge::generate(f, &timing, &mut meta_rng);
         let plan = random_plan(&mut meta_rng, frame, n);
@@ -450,7 +448,6 @@ proptest::proptest! {
         let executor = RoundExecutor::new(channel, Some(plan.clone()));
         let mut rng_a = StdRng::seed_from_u64(seed ^ 0x7000);
         let mut rng_b = rng_a.clone();
-        let mut rng_c = rng_a.clone();
 
         let a = executor
             .run_utrp_scratch(
@@ -461,19 +458,14 @@ proptest::proptest! {
                 &mut RoundScratch::new(),
             )
             .unwrap();
-        let b = run_honest_reader_with(&mut floor_b, &challenge, &timing, &channel, &plan, &mut rng_b)
-            .unwrap();
-        let c = run_device_round_with(&mut floor_c, &challenge, &timing, &channel, &plan, &mut rng_c)
+        let b = run_device_round(&mut floor_b, &challenge, &timing, &channel, &plan, &mut rng_b)
             .unwrap();
 
-        proptest::prop_assert_eq!(&a, &b, "executor vs count-based engine");
-        proptest::prop_assert_eq!(&b, &c, "count-based engine vs device engine");
-        for ((ta, tb), tc) in floor_a.iter().zip(floor_b.iter()).zip(floor_c.iter()) {
+        proptest::prop_assert_eq!(&a, &b, "executor vs device oracle");
+        for (ta, tb) in floor_a.iter().zip(floor_b.iter()) {
             proptest::prop_assert_eq!(ta.counter(), tb.counter(), "counter of {}", ta.id());
-            proptest::prop_assert_eq!(tb.counter(), tc.counter(), "counter of {}", tb.id());
         }
         proptest::prop_assert_eq!(&rng_a, &rng_b, "RNG draws differ");
-        proptest::prop_assert_eq!(&rng_b, &rng_c, "RNG draws differ");
     }
 }
 
