@@ -330,12 +330,6 @@ impl PooledEngine {
         self.fallbacks
     }
 
-    /// The scalar-fallback threshold in effect.
-    #[must_use]
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     fn join_workers(&mut self) {
         // Closing the command channels unparks every worker with a
         // recv error; join is then immediate. A worker that panicked

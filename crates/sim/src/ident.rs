@@ -179,16 +179,6 @@ impl FrameSize {
         // fits usize on every supported (32/64-bit) platform.
         self.0.get() as usize
     }
-
-    /// Shrinks the frame by `used` slots (the UTRP re-seed rule: the new
-    /// frame is the number of slots remaining in the old one).
-    ///
-    /// Returns `None` when no slots would remain.
-    #[must_use]
-    pub fn shrink_by(self, used: u64) -> Option<FrameSize> {
-        let remaining = self.get().checked_sub(used)?;
-        NonZeroU64::new(remaining).map(FrameSize)
-    }
 }
 
 impl fmt::Display for FrameSize {
@@ -266,15 +256,6 @@ mod tests {
                 requested: FrameSize::MAX + 1
             }
         );
-    }
-
-    #[test]
-    fn frame_size_shrink_follows_reseed_rule() {
-        // Paper example (§5.2): f = 10, first slot answered, new f = 9.
-        let f = FrameSize::new(10).unwrap();
-        assert_eq!(f.shrink_by(1), Some(FrameSize::new(9).unwrap()));
-        assert_eq!(f.shrink_by(10), None);
-        assert_eq!(f.shrink_by(11), None);
     }
 
     #[test]

@@ -46,15 +46,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn frame_shrink_matches_arithmetic(f in 1u64..10_000, used in 0u64..12_000) {
-        let frame = FrameSize::new(f).unwrap();
-        match frame.shrink_by(used) {
-            Some(s) => prop_assert_eq!(s.get(), f - used),
-            None => prop_assert!(used >= f),
-        }
-    }
-
     // ---------------- hashing ----------------
 
     #[test]
