@@ -55,10 +55,7 @@ pub use experiments::{
     budget_sweep, fig4, fig4_time, fig5, fig6, fig7, pad_ablation, BudgetSweepRow, Fig4Row,
     Fig4TimeRow, Fig5Row, Fig6Row, Fig7Row, PadAblationRow, SweepConfig,
 };
-pub use montecarlo::{
-    collect_all_slots_trial, trp_detection_trial, trp_false_alarm_trial, utrp_detection_cell,
-    utrp_detection_trial,
-};
+pub use montecarlo::{collect_all_slots_trial, trp_detection_trial, utrp_detection_cell};
 pub use parallel::{parallel_count, parallel_map, worker_threads};
 pub use policy::{EscalateAction, Policy, PolicyAction, PolicyError, POLICY_HEADER};
 pub use pool::{PooledEngine, POOL_THRESHOLD};

@@ -45,46 +45,6 @@ pub fn trp_detection_trial(n: u64, m: u64, f: FrameSize, seed: u64) -> bool {
     report.verdict == Verdict::NotIntact
 }
 
-/// One UTRP detection trial (Fig. 7 body): the dishonest reader splits
-/// off `m + 1` tags to an accomplice, runs the best-strategy collusion
-/// with sync budget `c`, and returns whether the server's comparison
-/// (bitstring match + deadline) caught it.
-///
-/// # Panics
-///
-/// Panics on invalid geometry (`m + 1 >= n`).
-#[must_use]
-pub fn utrp_detection_trial(n: u64, m: u64, f: FrameSize, c: u64, seed: u64) -> bool {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let timing = TimingModel::gen2();
-    let challenge = UtrpChallenge::generate(f, &timing, &mut rng);
-
-    let mut s1 = TagPopulation::with_sequential_ids(n as usize);
-    let mut s2 = s1
-        .split_random((m + 1) as usize, &mut rng)
-        // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
-        .expect("m + 1 < n validated upstream");
-
-    let config = ColluderConfig {
-        sync_budget: c,
-        // A fast side channel: the most favourable case for the
-        // adversary, per the paper's analysis setup.
-        tcomm: SimDuration::from_micros(1),
-    };
-    let outcome = collude_utrp(&mut s1, &mut s2, &challenge, &config, &timing)
-        // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
-        .expect("committed nonce sequence covers the frame");
-
-    let registry: Vec<(TagId, Counter)> =
-        (1..=n).map(|i| (TagId::from(i), Counter::ZERO)).collect();
-    // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
-    let expected = expected_round(&registry, &challenge).expect("sequence covers frame");
-
-    let mismatch = expected.bitstring != outcome.response.bitstring;
-    let late = !challenge.timer().accepts(outcome.response.elapsed);
-    mismatch || late
-}
-
 /// Trials sharing one challenge in [`utrp_detection_cell`]. The
 /// challenge (nonce sequence) and the server's expected round depend
 /// only on the registry, so recomputing them per trial would double the
@@ -163,37 +123,11 @@ pub fn collect_all_slots_trial(n: u64, m: u64, seed: u64) -> u64 {
     run.total_slots
 }
 
-/// One TRP *false-alarm* trial: the set is intact (≤ `m` tags detuned,
-/// none missing); does the server wrongly alarm? Exercises the
-/// tolerance semantics the introduction motivates (scratched/blocked
-/// tags should not page anybody when `missing ≤ m` — though TRP's
-/// bit-exact comparison does alarm on any detuned tag, which is the
-/// documented conservative behaviour this trial measures).
-#[must_use]
-pub fn trp_false_alarm_trial(n: u64, detuned: u64, f: FrameSize, seed: u64) -> bool {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pop = TagPopulation::with_sequential_ids(n as usize);
-    let all_ids = pop.ids();
-    pop.detune_random(detuned as usize, &mut rng)
-        // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
-        .expect("detuned <= n validated upstream");
-    let challenge = TrpChallenge::generate(f, &mut rng);
-    // Detuned tags are present but silent: observed = tuned tags only.
-    let audible: Vec<TagId> = pop
-        .iter()
-        .filter(|t| !t.is_detuned())
-        .map(|t| t.id())
-        .collect();
-    let observed = observed_bitstring(&audible, &challenge);
-    // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
-    let report = verify(&all_ids, challenge, &observed).expect("shapes match");
-    report.verdict == Verdict::NotIntact
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tagwatch_core::{trp_frame_size, utrp_frame_size, MonitorParams, UtrpSizing};
+    use tagwatch_sim::SeedSequence;
 
     #[test]
     fn trp_trial_is_deterministic_per_seed() {
@@ -229,8 +163,8 @@ mod tests {
     fn utrp_trial_is_deterministic_per_seed() {
         let f = FrameSize::new(250).unwrap();
         assert_eq!(
-            utrp_detection_trial(100, 5, f, 20, 3),
-            utrp_detection_trial(100, 5, f, 20, 3)
+            utrp_detection_cell(100, 5, f, 20, 30, SeedSequence::new(3)),
+            utrp_detection_cell(100, 5, f, 20, 30, SeedSequence::new(3))
         );
     }
 
@@ -238,9 +172,7 @@ mod tests {
     fn utrp_trials_detect_at_the_designed_rate() {
         let params = MonitorParams::new(150, 5, 0.95).unwrap();
         let f = utrp_frame_size(&params, UtrpSizing::default()).unwrap();
-        let detected = (0..200)
-            .filter(|&s| utrp_detection_trial(150, 5, f, 20, s))
-            .count();
+        let detected = utrp_detection_cell(150, 5, f, 20, 200, SeedSequence::new(0));
         let rate = detected as f64 / 200.0;
         assert!(rate > 0.90, "rate {rate}");
     }
@@ -250,22 +182,5 @@ mod tests {
         let small = collect_all_slots_trial(100, 0, 1);
         let large = collect_all_slots_trial(400, 0, 1);
         assert!(large > 2 * small, "{large} vs {small}");
-    }
-
-    #[test]
-    fn false_alarm_trial_with_no_detuned_tags_never_alarms() {
-        let f = FrameSize::new(400).unwrap();
-        assert!((0..50).all(|s| !trp_false_alarm_trial(200, 0, f, s)));
-    }
-
-    #[test]
-    fn false_alarm_trial_with_detuned_tags_usually_alarms() {
-        // TRP's comparison is bit-exact: a silent-but-present tag looks
-        // stolen. This is the conservative fail-safe the crate documents.
-        let f = FrameSize::new(800).unwrap();
-        let alarms = (0..50)
-            .filter(|&s| trp_false_alarm_trial(200, 5, f, s))
-            .count();
-        assert!(alarms > 40, "alarms {alarms}");
     }
 }

@@ -607,6 +607,7 @@ impl Policy {
                 ("desyncs_to_quarantine", quarantine.1),
                 ("desync_window", desync_window.1),
                 ("audit_budget", budget.1),
+                ("audit_window", audit_window.1),
                 ("alarms_to_escalate", alarms.1),
                 ("frame_factor", frame_factor.1),
             ],
@@ -630,9 +631,9 @@ impl Policy {
     /// Returns [`PolicyError`] diagnostics when the policy is
     /// degenerate: a zero in-tick retry budget with a zero desync
     /// window, an audit budget of 0 with quarantine enabled, a zero
-    /// alarm threshold, an invalid site name, a zero identification
-    /// budget with [`EscalateAction::Identify`], or a `frame_factor` or
-    /// desync `window` above [`FrameSize::MAX`].
+    /// audit window, a zero alarm threshold, an invalid site name, a
+    /// zero identification budget with [`EscalateAction::Identify`], or
+    /// a `frame_factor` or desync `window` above [`FrameSize::MAX`].
     pub fn validate(&self) -> Result<(), PolicyError> {
         let mut diags = Vec::new();
         self.collect_validation("<policy>", &[], &mut diags);
@@ -694,6 +695,15 @@ impl Policy {
                      `budget` or disable quarantine with `desyncs_to_quarantine off`",
                 ),
                 "audit_budget",
+            ));
+        }
+        if self.audit_window == 0 {
+            diags.push(at(
+                Diagnostic::new("audit `window 0` counts audits over no ticks").help(
+                    "the audit `budget` holds per trailing `window` ticks; set the window to \
+                     at least 1 (100 is the default)",
+                ),
+                "audit_window",
             ));
         }
         if self.escalate_action == EscalateAction::Identify
@@ -1023,6 +1033,24 @@ mod tests {
             ..Policy::default()
         };
         assert!(hair_trigger.validate().is_err());
+
+        // A zero audit window counts audits over no ticks, whatever the
+        // budget; parsing points at the audit section's `window` line.
+        let no_audit_window = Policy {
+            audit_budget: Some(1),
+            audit_window: 0,
+            ..Policy::default()
+        };
+        let err = no_audit_window.validate().unwrap_err();
+        assert!(err.message.contains("audit `window 0`"), "{err}");
+        let text = no_audit_window.to_text();
+        let err = Policy::parse_named(&text, "site.twp").unwrap_err();
+        let line = text.lines().position(|l| l == "window 0").unwrap() + 1;
+        assert!(
+            err.message.contains(&format!("--> site.twp:{line}")),
+            "{err}"
+        );
+        assert!(Policy::from_flat_lines(no_audit_window.to_flat_lines()).is_err());
 
         let bad_site = Policy {
             site: "two words".to_string(),

@@ -215,9 +215,13 @@ impl SoakReport {
     }
 
     /// Maximum number of audits inside any window of `window` ticks —
-    /// the "bounded audit frequency" statistic CI tracks.
+    /// the "bounded audit frequency" statistic CI tracks. A window of
+    /// no ticks holds no audits.
     #[must_use]
     pub fn max_audits_in_window(&self, window: u64) -> u64 {
+        if window == 0 {
+            return 0;
+        }
         let mut max = 0u64;
         let mut lo = 0usize;
         for hi in 0..self.audit_ticks.len() {
@@ -1664,6 +1668,8 @@ mod tests {
         report.audit_ticks = vec![1, 2, 3, 200, 201, 500];
         assert_eq!(report.max_audits_in_window(100), 3);
         assert_eq!(report.max_audits_in_window(2), 2);
+        assert_eq!(report.max_audits_in_window(1), 1);
+        assert_eq!(report.max_audits_in_window(0), 0);
         report.audit_ticks.clear();
         assert_eq!(report.max_audits_in_window(100), 0);
     }

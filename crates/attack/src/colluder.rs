@@ -311,6 +311,7 @@ pub fn collude_utrp(
 /// # Errors
 ///
 /// Same as [`collude_utrp`].
+// lint:allow(u1-dead-pub): oracle: colluder::tests::fast_attack_matches_slot_by_slot_reference holds collude_utrp to it
 pub fn collude_utrp_reference(
     s1: &mut TagPopulation,
     s2: &mut TagPopulation,

@@ -42,6 +42,7 @@ pub enum JammerStrategy {
 ///
 /// Infallible today; `Result` kept for signature stability with the
 /// other attack constructors.
+// lint:allow(u1-dead-pub): attack demonstration: jammer::tests::random_jamming_makes_detection_more_likely_not_less runs it
 pub fn jammed_scan<R: Rng + ?Sized>(
     present_ids: &[TagId],
     challenge: &TrpChallenge,

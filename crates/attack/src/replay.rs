@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use tagwatch_sim::{FrameSize, Nonce};
+use tagwatch_sim::Nonce;
 
 use tagwatch_core::trp::TrpChallenge;
 use tagwatch_core::Bitstring;
@@ -29,12 +29,6 @@ impl ReplayAttacker {
     #[must_use]
     pub fn new() -> Self {
         ReplayAttacker::default()
-    }
-
-    /// Number of distinct `(f, r)` recordings held.
-    #[must_use]
-    pub fn recordings(&self) -> usize {
-        self.exact.len()
     }
 
     /// Records a bitstring observed for a challenge (e.g. sniffed from
@@ -63,12 +57,6 @@ impl ReplayAttacker {
         }
         Bitstring::zeros(challenge.frame_size().as_usize())
     }
-
-    /// Whether the attacker holds an exact recording for this challenge.
-    #[must_use]
-    pub fn has_exact(&self, f: FrameSize, r: Nonce) -> bool {
-        self.exact.contains_key(&(f.get(), r))
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +67,7 @@ mod tests {
     use tagwatch_core::trp::{observed_bitstring, verify};
     use tagwatch_core::Verdict;
     use tagwatch_sim::aloha::FramePlan;
-    use tagwatch_sim::TagId;
+    use tagwatch_sim::{FrameSize, TagId};
 
     fn ids(n: u64) -> Vec<TagId> {
         (1..=n).map(TagId::from).collect()
@@ -150,16 +138,5 @@ mod tests {
         let bs = attacker.respond(&ch);
         assert_eq!(bs.len(), 64);
         assert_eq!(bs.count_ones(), 0);
-    }
-
-    #[test]
-    fn bookkeeping_accessors() {
-        let mut attacker = ReplayAttacker::new();
-        assert_eq!(attacker.recordings(), 0);
-        let ch = challenge(32, 7);
-        attacker.record(&ch, Bitstring::zeros(32));
-        assert_eq!(attacker.recordings(), 1);
-        assert!(attacker.has_exact(FrameSize::new(32).unwrap(), Nonce::new(7)));
-        assert!(!attacker.has_exact(FrameSize::new(32).unwrap(), Nonce::new(8)));
     }
 }

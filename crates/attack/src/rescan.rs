@@ -79,6 +79,7 @@ pub fn counterless_round(
 /// # Errors
 ///
 /// Propagates [`counterless_round`] errors.
+// lint:allow(u1-dead-pub): attack demonstration: the counter ablation in EXPERIMENTS.md; tests/extensions.rs::counter_ablation_story_holds_through_the_facade runs it
 pub fn prescan_attack(
     s1_ids: &[TagId],
     s2_ids: &[TagId],

@@ -5,8 +5,8 @@
 //! into `bs = {… 1 0 1 1 0 …}`.) [`Bitstring`] is a compact, fixed-length
 //! bit vector over `u64` words with exactly the operations the protocols
 //! and attacks need: set/get, popcount, bitwise OR (the TRP collusion
-//! attack merges bitstrings with `bss1 ∨ bss2`, Alg. 4), XOR/AND for
-//! verification diffs, and mismatch enumeration for evidence reporting.
+//! attack merges bitstrings with `bss1 ∨ bss2`, Alg. 4), and the
+//! Hamming distance the server's verdict compares with.
 
 use std::fmt;
 
@@ -143,12 +143,6 @@ impl Bitstring {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of clear bits (empty slots).
-    #[must_use]
-    pub fn count_zeros(&self) -> usize {
-        self.len - self.count_ones()
-    }
-
     /// Bitwise OR — the colluding readers' merge step (Alg. 4 line 3).
     ///
     /// # Errors
@@ -156,24 +150,6 @@ impl Bitstring {
     /// Returns [`CoreError::LengthMismatch`] if lengths differ.
     pub fn or(&self, other: &Bitstring) -> Result<Bitstring, CoreError> {
         self.zip_words(other, |a, b| a | b)
-    }
-
-    /// Bitwise AND.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn and(&self, other: &Bitstring) -> Result<Bitstring, CoreError> {
-        self.zip_words(other, |a, b| a & b)
-    }
-
-    /// Bitwise XOR — the verification diff.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn xor(&self, other: &Bitstring) -> Result<Bitstring, CoreError> {
-        self.zip_words(other, |a, b| a ^ b)
     }
 
     /// Number of positions where the two bitstrings disagree.
@@ -194,46 +170,6 @@ impl Bitstring {
             .zip(&other.words)
             .map(|(&a, &b)| (a ^ b).count_ones() as usize)
             .sum())
-    }
-
-    /// Index of the first position where the two bitstrings disagree,
-    /// or `None` when they are identical.
-    ///
-    /// Scans whole `u64` words and only inspects bits inside the first
-    /// differing word (via trailing-zeros), so agreement over long
-    /// prefixes costs one compare per 64 slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn first_mismatch(&self, other: &Bitstring) -> Result<Option<usize>, CoreError> {
-        self.check_len(other)?;
-        for (wi, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let diff = a ^ b;
-            if diff != 0 {
-                return Ok(Some(wi * WORD_BITS + diff.trailing_zeros() as usize));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Indices of all disagreeing positions, ascending — the server's
-    /// evidence when a verification fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn mismatch_indices(&self, other: &Bitstring) -> Result<Vec<usize>, CoreError> {
-        self.check_len(other)?;
-        let mut out = Vec::new();
-        for (wi, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let mut diff = a ^ b;
-            while diff != 0 {
-                out.push(wi * WORD_BITS + diff.trailing_zeros() as usize);
-                diff &= diff - 1;
-            }
-        }
-        Ok(out)
     }
 
     fn check_len(&self, other: &Bitstring) -> Result<(), CoreError> {
@@ -368,7 +304,6 @@ mod tests {
         let b = Bitstring::zeros(130);
         assert_eq!(b.len(), 130);
         assert_eq!(b.count_ones(), 0);
-        assert_eq!(b.count_zeros(), 130);
     }
 
     #[test]
@@ -403,19 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn xor_and_hamming_measure_disagreement() {
+    fn hamming_measures_disagreement() {
         let a = bs("110010");
         let b = bs("100011");
-        assert_eq!(a.xor(&b).unwrap(), bs("010001"));
         assert_eq!(a.hamming_distance(&b).unwrap(), 2);
-        assert_eq!(a.mismatch_indices(&b).unwrap(), vec![1, 5]);
-    }
-
-    #[test]
-    fn and_intersects() {
-        let a = bs("1101");
-        let b = bs("1011");
-        assert_eq!(a.and(&b).unwrap(), bs("1001"));
     }
 
     #[test]
@@ -426,8 +352,6 @@ mod tests {
             a.or(&b),
             Err(CoreError::LengthMismatch { left: 5, right: 6 })
         ));
-        assert!(a.xor(&b).is_err());
-        assert!(a.and(&b).is_err());
         assert!(a.hamming_distance(&b).is_err());
     }
 
@@ -507,24 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn first_mismatch_finds_earliest_disagreement() {
-        let a = bs("110010");
-        let b = bs("100011");
-        assert_eq!(a.first_mismatch(&b).unwrap(), Some(1));
-        assert_eq!(a.first_mismatch(&a).unwrap(), None);
-        // Across a word boundary: identical first word, diff at bit 70.
-        let mut x = Bitstring::zeros(100);
-        let mut y = Bitstring::zeros(100);
-        x.set(3, true).unwrap();
-        y.set(3, true).unwrap();
-        x.set(70, true).unwrap();
-        assert_eq!(x.first_mismatch(&y).unwrap(), Some(70));
-        assert!(Bitstring::zeros(5)
-            .first_mismatch(&Bitstring::zeros(6))
-            .is_err());
-    }
-
-    #[test]
     fn word_level_hamming_matches_bitwise_count() {
         // Cross-check the word-at-a-time hamming against a per-bit loop
         // on multiword strings with dense tails.
@@ -532,9 +438,6 @@ mod tests {
         let b: Bitstring = (0..193).map(|i| i % 5 == 0).collect();
         let naive = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
         assert_eq!(a.hamming_distance(&b).unwrap(), naive);
-        assert_eq!(a.mismatch_indices(&b).unwrap().len(), naive);
-        let first = a.first_mismatch(&b).unwrap().unwrap();
-        assert_eq!(first, a.mismatch_indices(&b).unwrap()[0]);
     }
 
     #[test]

@@ -759,11 +759,6 @@ impl RoundScratch {
         self.uniform_base = if uniform { first_base } else { None };
     }
 
-    /// Loads from [`UtrpParticipant`]s (counters at pre-round values).
-    pub fn load_participants(&mut self, parts: &[UtrpParticipant]) {
-        self.load(parts.iter().map(|p| (p.id, p.counter, p.mute)));
-    }
-
     /// Loads from `(id, counter)` pairs — e.g. the server's registry
     /// mirror iterated in place, with no intermediate `Vec`.
     pub fn load_pairs<I: IntoIterator<Item = (TagId, Counter)>>(&mut self, pairs: I) {

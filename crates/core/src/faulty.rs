@@ -47,7 +47,8 @@ use crate::utrp::{round_duration, RoundOutcome, UtrpChallenge, UtrpParticipant, 
 /// Runs one UTRP round over `participants` under `channel` and `plan`,
 /// advancing each participant's counter by the announcements *it
 /// actually heard* (faults make counters diverge per tag, unlike the
-/// uniform advance of [`crate::utrp::simulate_round`]).
+/// uniform advance every caller of [`crate::engine::RoundScratch`]
+/// applies).
 ///
 /// The returned [`RoundOutcome`]'s `announcements` counts what the
 /// *reader* broadcast; individual tags may have heard fewer.
@@ -239,6 +240,7 @@ pub(crate) fn run_honest_reader_with<R: Rng + ?Sized>(
 /// Propagates [`CoreError::NonceSequenceExhausted`] on a malformed
 /// challenge and invalid fault-plan scalars as
 /// [`CoreError::InvalidParams`].
+// lint:allow(u1-dead-pub): oracle: the UTRP round on the tag state machines; tests/failure_injection.rs::unified_executor_agrees_with_both_legacy_fault_engines holds the executor to it
 pub fn run_device_round<R: Rng + ?Sized>(
     population: &mut TagPopulation,
     challenge: &UtrpChallenge,
@@ -368,7 +370,7 @@ pub(crate) fn device_round_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utrp::{run_honest_reader, simulate_round};
+    use crate::utrp::{expected_round, run_honest_reader};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tagwatch_sim::{ChannelConfig, Counter, TagId};
@@ -384,6 +386,10 @@ mod tests {
             .collect()
     }
 
+    fn registry(n: u64) -> Vec<(TagId, Counter)> {
+        (1..=n).map(|i| (TagId::from(i), Counter::ZERO)).collect()
+    }
+
     #[test]
     fn faultless_path_is_byte_identical_and_rng_free() {
         // With all knobs at zero both fault-aware bodies run their
@@ -391,10 +397,9 @@ mod tests {
         // and never touch the RNG.
         for (n, f_raw, seed) in [(10u64, 32u64, 1u64), (60, 200, 2), (120, 90, 3)] {
             let ch = challenge(f_raw, seed);
-            let mut plain = participants(n);
-            let mut device = plain.clone();
-            let mut faulty = plain.clone();
-            let a = simulate_round(&mut plain, ch.frame_size(), ch.nonces()).unwrap();
+            let mut device = participants(n);
+            let mut faulty = device.clone();
+            let a = expected_round(&registry(n), &ch).unwrap();
             let b = device_round_over(&mut device, &ch);
             let mut rng = StdRng::seed_from_u64(999);
             let c = simulate_round_with(
@@ -408,8 +413,9 @@ mod tests {
             .unwrap();
             assert_eq!(a, b);
             assert_eq!(a, c);
-            assert_eq!(plain, device);
-            assert_eq!(plain, faulty);
+            // Every tag heard every announcement, as the engine assumes.
+            assert!(device.iter().all(|p| p.counter.get() == a.announcements));
+            assert_eq!(device, faulty);
             assert_eq!(rng, StdRng::seed_from_u64(999), "RNG was consumed");
         }
     }
@@ -477,8 +483,7 @@ mod tests {
         // nothing there and never re-seeds for it, and the transmitting
         // tags stay silent for the rest of the round.
         let ch = challenge(64, 7);
-        let mut baseline = participants(12);
-        let base_out = simulate_round(&mut baseline, ch.frame_size(), ch.nonces()).unwrap();
+        let base_out = expected_round(&registry(12), &ch).unwrap();
         let first = base_out.bitstring.iter_ones().next().unwrap() as u64;
 
         let plan = FaultPlan::new().lose_replies_at(first);

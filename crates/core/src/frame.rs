@@ -140,18 +140,6 @@ pub fn trp_frame_size_with_model(
     }
 }
 
-/// The TRP detection probability achieved at a given frame size — the
-/// quantity Fig. 5 plots against the `α` line.
-#[must_use]
-pub fn trp_detection_at(params: &MonitorParams, f: FrameSize) -> f64 {
-    crate::math::detection::detection_probability(
-        params.population(),
-        params.worst_case_missing(),
-        f.get(),
-        EmptySlotModel::Poisson,
-    )
-}
-
 /// Eq. 3: the minimal UTRP frame size (plus the configured safety pad)
 /// for the given parameters and collusion budget.
 ///
@@ -328,14 +316,6 @@ mod tests {
             utrp_frame_size(&p, UtrpSizing::default()),
             Err(CoreError::InvalidParams { .. })
         ));
-    }
-
-    #[test]
-    fn trp_detection_at_reports_probability() {
-        let p = params(500, 5);
-        let f = trp_frame_size(&p).unwrap();
-        let d = trp_detection_at(&p, f);
-        assert!(d > 0.95 && d <= 1.0);
     }
 
     #[test]

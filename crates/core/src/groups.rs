@@ -66,12 +66,6 @@ pub struct GroupedReport {
 }
 
 impl GroupedReport {
-    /// Whether every group verified intact.
-    #[must_use]
-    pub fn all_intact(&self) -> bool {
-        self.unanswered.is_empty() && self.per_group.values().all(|r| !r.is_alarm())
-    }
-
     /// Names of groups that alarmed (including unanswered ones).
     #[must_use]
     pub fn alarmed_groups(&self) -> Vec<&str> {
@@ -165,15 +159,6 @@ impl GroupedMonitor {
         Ok(())
     }
 
-    /// Removes a group, releasing its tags. Returns whether it existed.
-    pub fn remove_group(&mut self, name: &str) -> bool {
-        if self.groups.remove(name).is_none() {
-            return false;
-        }
-        self.owner_of.retain(|_, owner| owner != name);
-        true
-    }
-
     /// Number of groups.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -184,12 +169,6 @@ impl GroupedMonitor {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
-    }
-
-    /// Total tags across all groups.
-    #[must_use]
-    pub fn total_tags(&self) -> usize {
-        self.owner_of.len()
     }
 
     /// Shared access to one group's server.
@@ -387,7 +366,6 @@ mod tests {
     fn groups_of_different_sizes_coexist() {
         let m = monitor_with_two_groups();
         assert_eq!(m.len(), 2);
-        assert_eq!(m.total_tags(), 320);
         assert_eq!(m.group("pallet").unwrap().len(), 300);
         assert_eq!(m.group("case").unwrap().len(), 20);
         assert_eq!(m.owner_of(TagId::new(301)), Some("case"));
@@ -439,7 +417,6 @@ mod tests {
             responses.insert(name.to_owned(), observed_bitstring(&group_ids, ch));
         }
         let report = m.verify_audit(audit, &responses).unwrap();
-        assert!(report.all_intact());
         assert!(report.alarmed_groups().is_empty());
     }
 
@@ -487,20 +464,8 @@ mod tests {
         );
         // "case" never responds.
         let report = m.verify_audit(audit, &responses).unwrap();
-        assert!(!report.all_intact());
         assert_eq!(report.unanswered, vec!["case".to_owned()]);
         assert_eq!(report.alarmed_groups(), vec!["case"]);
-    }
-
-    #[test]
-    fn removing_a_group_releases_its_tags() {
-        let mut m = monitor_with_two_groups();
-        assert!(m.remove_group("case"));
-        assert!(!m.remove_group("case"));
-        assert_eq!(m.total_tags(), 300);
-        // The freed tags can join a new group.
-        m.add_group("case-v2", ids(301..=320), 1, 0.9).unwrap();
-        assert_eq!(m.len(), 2);
     }
 
     #[test]
@@ -534,8 +499,7 @@ mod tests {
         let text = m.to_text();
         let restored =
             GroupedMonitor::from_text(&text, crate::server::ServerConfig::default()).unwrap();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.total_tags(), 320);
+        assert_eq!(restored.to_string(), m.to_string());
         for name in ["pallet", "case"] {
             let a = m.group(name).unwrap();
             let b = restored.group(name).unwrap();

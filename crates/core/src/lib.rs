@@ -85,9 +85,7 @@ pub use engine::{RoundEngine, RoundScratch, ScanJob, ScanParams, ScanStats, Subf
 pub use error::CoreError;
 pub use executor::RoundExecutor;
 pub use faulty::run_device_round;
-pub use frame::{
-    trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing,
-};
+pub use frame::{trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing};
 pub use groups::{GroupedAudit, GroupedMonitor, GroupedReport};
 pub use identify::{identify_missing, IdentifyConfig, IdentifyOutcome};
 pub use math::{detection_probability, utrp_detection_probability, EmptySlotModel};

@@ -3,19 +3,13 @@
 //! * [`binomial`] — log-space factorials, binomial pmfs, tail windows.
 //! * [`detection`] — `g(n, x, f)`, the TRP detection probability
 //!   (Theorem 1).
-//! * [`occupancy`] — exact balls-into-bins moments (`E[N₀]`, `Var[N₀]`,
-//!   singleton throughput) that the other analyses build on.
 //! * [`utrp`] — the colluder-aware detection probability and sync
 //!   horizon (Theorems 3–5, Eq. 3).
 
 pub mod binomial;
 pub mod detection;
-pub mod occupancy;
 pub mod utrp;
 
 pub use binomial::{binomial_terms, binomial_window, LnFactorial};
 pub use detection::{detection_probability, detection_probability_with, EmptySlotModel};
-pub use occupancy::{
-    empty_slots_variance, expected_collided_slots, expected_empty_slots, expected_singleton_slots,
-};
 pub use utrp::{sync_horizon, utrp_detection_probability, utrp_detection_probability_reference};

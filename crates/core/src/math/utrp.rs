@@ -121,6 +121,7 @@ pub fn utrp_detection_probability_with(
 /// specification: slow but textually faithful to the paper. Used by
 /// tests to validate the PGF-collapsed fast path.
 #[must_use]
+// lint:allow(u1-dead-pub): oracle: math::utrp::tests::fast_path_matches_reference_triple_sum holds the closed form to this triple sum
 pub fn utrp_detection_probability_reference(
     n: u64,
     m: u64,

@@ -37,6 +37,7 @@ impl NonceSequence {
 
     /// Builds a sequence from explicit nonces (tests, replay analysis).
     #[must_use]
+    // lint:allow(u1-dead-pub): scenario builder: core/tests/conformance.rs::alg6_reseed_rule_f_prime_equals_slots_remaining scripts exact nonces with it
     pub fn from_nonces(nonces: Vec<Nonce>) -> Self {
         NonceSequence { nonces }
     }
@@ -107,12 +108,6 @@ impl NonceCursor<'_> {
         Ok(nonce)
     }
 
-    /// How many nonces have been consumed.
-    #[must_use]
-    pub fn consumed(&self) -> usize {
-        self.next
-    }
-
     /// How many nonces remain.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -165,7 +160,7 @@ mod tests {
         assert_eq!(cur.remaining(), 2);
         assert_eq!(cur.next_nonce().unwrap(), Nonce::new(5));
         assert_eq!(cur.next_nonce().unwrap(), Nonce::new(9));
-        assert_eq!(cur.consumed(), 2);
+        assert_eq!(cur.remaining(), 0);
         assert_eq!(
             cur.next_nonce().unwrap_err(),
             CoreError::NonceSequenceExhausted

@@ -83,16 +83,6 @@ impl MonitorParams {
     pub const fn worst_case_missing(&self) -> u64 {
         self.m + 1
     }
-
-    /// Returns parameters for the same policy over a different
-    /// population size (used when sweeping `n` in experiments).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MonitorParams::new`].
-    pub fn with_population(&self, n: u64) -> Result<Self, CoreError> {
-        MonitorParams::new(n, self.m, self.alpha)
-    }
 }
 
 impl fmt::Display for MonitorParams {
@@ -143,17 +133,6 @@ mod tests {
                 "accepted alpha = {alpha}"
             );
         }
-    }
-
-    #[test]
-    fn with_population_keeps_policy() {
-        let p = MonitorParams::new(100, 5, 0.95).unwrap();
-        let q = p.with_population(2000).unwrap();
-        assert_eq!(q.population(), 2000);
-        assert_eq!(q.tolerance(), 5);
-        assert_eq!(q.confidence(), 0.95);
-        // Shrinking below the tolerance fails validation.
-        assert!(p.with_population(5).is_err());
     }
 
     #[test]

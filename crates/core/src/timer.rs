@@ -45,6 +45,7 @@ impl ResponseTimer {
     ///
     /// Panics if `st_min > st_max`.
     #[must_use]
+    // lint:allow(u1-dead-pub): scenario builder: core/tests/conformance.rs::section_5_4_budget_formula sets the paper's bounds with it
     pub fn from_bounds(st_min: SimDuration, st_max: SimDuration) -> Self {
         assert!(st_min <= st_max, "st_min must not exceed st_max");
         ResponseTimer { st_min, st_max }

@@ -29,11 +29,13 @@
 //!
 //! ### One engine, one oracle
 //!
-//! Every round in this module — [`simulate_round`],
-//! [`run_honest_reader`], the server's [`expected_round`] and
-//! [`attributed_round`] — runs on one engine, [`RoundScratch`]. Its
-//! oracle is [`run_device_round`](crate::faulty::run_device_round),
-//! which plays the round slot by slot on the tag state machines of
+//! Both sides of the protocol run the round on one struct-of-arrays
+//! engine, [`RoundScratch`]: the reader over the physical population
+//! ([`run_honest_reader`]) and the server over its registry mirror
+//! ([`expected_round`], [`attributed_round`]) — the paper's
+//! determinism argument made executable. Its oracle is
+//! [`run_device_round`](crate::faulty::run_device_round), which plays
+//! the round slot by slot on the tag state machines of
 //! `tagwatch-sim` (on an ideal channel with an empty fault plan, it
 //! draws no random numbers); the differential tests here and in
 //! [`crate::engine`] hold the engine to it.
@@ -151,38 +153,6 @@ pub struct RoundOutcome {
     pub announcements: u64,
 }
 
-/// Executes one honest UTRP round (Algs. 6–7) over `participants`,
-/// advancing their counters in place.
-///
-/// Both sides of the protocol run this round on the same
-/// struct-of-arrays engine, [`RoundScratch`]: the server over its
-/// registry mirror ([`expected_round`]) to predict `bs`, and
-/// [`run_honest_reader`] over the physical population — the paper's
-/// determinism argument made executable. The device-level oracle
-/// [`crate::faulty::run_device_round`] plays the round slot by slot,
-/// and the two are tested to agree bit-for-bit.
-///
-/// # Errors
-///
-/// Returns [`CoreError::NonceSequenceExhausted`] if the sequence is too
-/// short (impossible through [`UtrpChallenge`], which validates length).
-pub fn simulate_round(
-    participants: &mut [UtrpParticipant],
-    f: FrameSize,
-    nonces: &NonceSequence,
-) -> Result<RoundOutcome, CoreError> {
-    let mut scratch = RoundScratch::new();
-    scratch.load_participants(participants);
-    let announcements = scratch.run(f, nonces)?;
-    for p in participants.iter_mut() {
-        p.counter = Counter::new(p.counter.get().wrapping_add(announcements));
-    }
-    Ok(RoundOutcome {
-        bitstring: scratch.take_bitstring(),
-        announcements,
-    })
-}
-
 /// What an honest reader returns to the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UtrpResponse {
@@ -219,7 +189,7 @@ pub struct UtrpResponse {
 ///
 /// # Errors
 ///
-/// Propagates [`simulate_round`] errors.
+/// Propagates [`RoundScratch::run`] errors.
 pub fn run_honest_reader(
     population: &mut TagPopulation,
     challenge: &UtrpChallenge,
@@ -297,7 +267,7 @@ pub fn round_duration(timing: &TimingModel, outcome: &RoundOutcome) -> SimDurati
 ///
 /// # Errors
 ///
-/// Propagates [`simulate_round`] errors.
+/// Propagates [`RoundScratch::run`] errors.
 pub fn expected_round(
     registry: &[(TagId, Counter)],
     challenge: &UtrpChallenge,
@@ -319,7 +289,7 @@ pub fn expected_round(
 ///
 /// # Errors
 ///
-/// Propagates [`simulate_round`] errors.
+/// Propagates [`RoundScratch::run`] errors.
 pub fn attributed_round(
     registry: &[(TagId, Counter)],
     challenge: &UtrpChallenge,
@@ -343,10 +313,9 @@ pub fn attributed_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faulty::{device_round_over, run_device_round};
+    use crate::faulty::device_round_over;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tagwatch_sim::{Channel, FaultPlan};
 
     fn challenge(f: u64, seed: u64) -> UtrpChallenge {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -359,138 +328,92 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn fast_round_matches_slot_by_slot_reference() {
-        // The sub-frame-skipping engine must agree bit-for-bit with the
-        // slot-by-slot device oracle — bitstring, announcement count,
-        // and every final counter — across population shapes.
-        for (n, f_raw, seed) in [
-            (1usize, 8u64, 1u64),
-            (10, 16, 2),
-            (50, 50, 3),
-            (100, 300, 4),
-            (200, 150, 5), // more tags than slots: dense collisions
-        ] {
-            let ch = challenge(f_raw, seed);
-            let mut fast: Vec<UtrpParticipant> = (1..=n as u64)
-                .map(|i| {
-                    let mut p = UtrpParticipant::new(TagId::from(i), Counter::new(i % 7));
-                    p.mute = i % 11 == 0;
-                    p
-                })
-                .collect();
-            let mut reference = fast.clone();
-            let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
-            let b = device_round_over(&mut reference, &ch);
-            assert_eq!(a, b, "outcome diverged for n={n} f={f_raw}");
-            assert_eq!(fast, reference, "counters diverged for n={n} f={f_raw}");
+    /// One round on the engine, loaded directly, with every counter
+    /// advanced by the announcement count as each caller does.
+    fn engine_round(parts: &mut [UtrpParticipant], ch: &UtrpChallenge) -> RoundOutcome {
+        let mut scratch = RoundScratch::new();
+        scratch.load_participants(parts);
+        let announcements = scratch.run(ch.frame_size(), ch.nonces()).unwrap();
+        for p in parts.iter_mut() {
+            p.counter = Counter::new(p.counter.get().wrapping_add(announcements));
+        }
+        RoundOutcome {
+            bitstring: scratch.take_bitstring(),
+            announcements,
         }
     }
 
-    #[test]
-    fn device_round_matches_fast_and_reference_paths() {
-        // Tag-device state machines == fast engine, bitstring /
-        // announcements / counters, with detuned tags in the field.
-        for (n, f_raw, detune, seed) in [
-            (1usize, 8u64, false, 11u64),
-            (25, 60, false, 12),
-            (80, 200, true, 13),
-            (150, 120, false, 14), // denser than the frame
-        ] {
-            let ch = challenge(f_raw, seed);
-            let mut pop = TagPopulation::with_sequential_ids(n);
-            if detune {
-                let mut rng = StdRng::seed_from_u64(seed);
-                pop.detune_random(n / 10, &mut rng).unwrap();
-            }
-            let mut parts: Vec<UtrpParticipant> = pop
-                .iter()
-                .map(|t| UtrpParticipant {
-                    id: t.id(),
-                    counter: t.counter(),
-                    mute: t.is_detuned(),
-                })
-                .collect();
+    /// Tags `1..=n` with counter `i % ct_mod`, mute when
+    /// `i % mute_mod == 0`.
+    fn modular_parts(n: u64, ct_mod: u64, mute_mod: u64) -> Vec<UtrpParticipant> {
+        (1..=n)
+            .map(|i| {
+                let mut p = UtrpParticipant::new(TagId::from(i), Counter::new(i % ct_mod));
+                p.mute = i % mute_mod == 0;
+                p
+            })
+            .collect()
+    }
 
-            let device = run_device_round(
-                &mut pop,
-                &ch,
-                &TimingModel::gen2(),
-                &Channel::ideal(),
-                &FaultPlan::new(),
-                &mut StdRng::seed_from_u64(0),
-            )
+    /// A fresh sequential population of `n` tags with `detuned` of them
+    /// detuned at random under `seed`, as round participants.
+    fn population_parts(n: usize, detuned: usize, seed: u64) -> Vec<UtrpParticipant> {
+        let mut pop = TagPopulation::with_sequential_ids(n);
+        pop.detune_random(detuned, &mut StdRng::seed_from_u64(seed))
             .unwrap();
-            let fast = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        pop.iter()
+            .map(|t| UtrpParticipant {
+                id: t.id(),
+                counter: t.counter(),
+                mute: t.is_detuned(),
+            })
+            .collect()
+    }
 
-            assert_eq!(device.bitstring, fast.bitstring, "n={n} f={f_raw}");
-            assert_eq!(device.announcements, fast.announcements, "n={n} f={f_raw}");
-            // Device counters advanced identically.
-            for (tag, part) in pop.iter().zip(parts.iter()) {
-                assert_eq!(tag.counter(), part.counter, "counter of {}", tag.id());
-            }
+    /// Holds the engine to the slot-by-slot device oracle on each
+    /// `(participants, f, seed)` input: bitstring, announcement count,
+    /// and every final counter.
+    fn assert_engine_matches_device(cases: Vec<(Vec<UtrpParticipant>, u64, u64)>) {
+        for (mut parts, f_raw, seed) in cases {
+            let ch = challenge(f_raw, seed);
+            let n = parts.len();
+            let mut device = parts.clone();
+            let expected = device_round_over(&mut device, &ch);
+            let got = engine_round(&mut parts, &ch);
+            assert_eq!(got, expected, "outcome diverged for n={n} f={f_raw}");
+            assert_eq!(parts, device, "counters diverged for n={n} f={f_raw}");
         }
     }
 
     #[test]
-    fn large_population_rounds_match_reference() {
+    fn engine_rounds_match_the_device_oracle() {
+        // Across population shapes: modular counters with mute tags,
+        // and fresh populations with detuned tags.
+        assert_engine_matches_device(vec![
+            (modular_parts(1, 7, 11), 8, 1),
+            (modular_parts(10, 7, 11), 16, 2),
+            (modular_parts(50, 7, 11), 50, 3),
+            (modular_parts(100, 7, 11), 300, 4),
+            (modular_parts(200, 7, 11), 150, 5), // more tags than slots: dense collisions
+            (population_parts(1, 0, 11), 8, 11),
+            (population_parts(25, 0, 12), 60, 12),
+            (population_parts(80, 8, 13), 200, 13),
+            (population_parts(150, 0, 14), 120, 14), // denser than the frame
+        ]);
+    }
+
+    #[test]
+    fn large_population_rounds_match_the_device_oracle() {
         // The SoA engine at the scales it was built for. Frames are
         // kept modest so the O(n·f) device oracle stays tractable;
         // density (n ≫ f) maximizes collisions, sub-frame churn, and
         // swap-remove traffic — the paths most likely to diverge.
-        for (n, f_raw, seed) in [(10_000u64, 256u64, 21u64), (100_000, 64, 22)] {
-            let ch = challenge(f_raw, seed);
-            let mut fast: Vec<UtrpParticipant> = (1..=n)
-                .map(|i| {
-                    let mut p = UtrpParticipant::new(TagId::from(i), Counter::new(i % 23));
-                    p.mute = i % 17 == 0;
-                    p
-                })
-                .collect();
-            let mut reference = fast.clone();
-            let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
-            let b = device_round_over(&mut reference, &ch);
-            assert_eq!(a, b, "outcome diverged for n={n} f={f_raw}");
-            assert_eq!(fast, reference, "counters diverged for n={n} f={f_raw}");
-        }
-    }
-
-    #[test]
-    fn large_population_device_rounds_match_engine() {
-        // Device-state-machine parity at scale: every physical tag's
-        // counter must advance exactly as the engine's uniform rule
-        // predicts, including detuned (mute) tags.
-        for (n, f_raw, seed) in [(10_000usize, 256u64, 31u64), (100_000, 64, 32)] {
-            let ch = challenge(f_raw, seed);
-            let mut pop = TagPopulation::with_sequential_ids(n);
-            let mut rng = StdRng::seed_from_u64(seed);
-            pop.detune_random(n / 20, &mut rng).unwrap();
-            let mut parts: Vec<UtrpParticipant> = pop
-                .iter()
-                .map(|t| UtrpParticipant {
-                    id: t.id(),
-                    counter: t.counter(),
-                    mute: t.is_detuned(),
-                })
-                .collect();
-
-            let device = run_device_round(
-                &mut pop,
-                &ch,
-                &TimingModel::gen2(),
-                &Channel::ideal(),
-                &FaultPlan::new(),
-                &mut StdRng::seed_from_u64(0),
-            )
-            .unwrap();
-            let fast = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
-
-            assert_eq!(device.bitstring, fast.bitstring, "n={n} f={f_raw}");
-            assert_eq!(device.announcements, fast.announcements, "n={n} f={f_raw}");
-            for (tag, part) in pop.iter().zip(parts.iter()) {
-                assert_eq!(tag.counter(), part.counter, "counter of {}", tag.id());
-            }
-        }
+        assert_engine_matches_device(vec![
+            (modular_parts(10_000, 23, 17), 256, 21),
+            (modular_parts(100_000, 23, 17), 64, 22),
+            (population_parts(10_000, 500, 31), 256, 31),
+            (population_parts(100_000, 5_000, 32), 64, 32),
+        ]);
     }
 
     #[test]
@@ -498,8 +421,8 @@ mod tests {
         let ch = challenge(128, 1);
         let mut a = participants(50);
         let mut b = participants(50);
-        let ra = simulate_round(&mut a, ch.frame_size(), ch.nonces()).unwrap();
-        let rb = simulate_round(&mut b, ch.frame_size(), ch.nonces()).unwrap();
+        let ra = engine_round(&mut a, &ch);
+        let rb = engine_round(&mut b, &ch);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
     }
@@ -529,7 +452,7 @@ mod tests {
         // merge claims, so occupied slots ≤ n and > 0 for n > 0.
         let ch = challenge(512, 3);
         let mut parts = participants(64);
-        let outcome = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        let outcome = engine_round(&mut parts, &ch);
         let ones = outcome.bitstring.count_ones();
         assert!(ones > 0 && ones <= 64, "ones = {ones}");
     }
@@ -538,7 +461,7 @@ mod tests {
     fn announcements_equal_reply_slots_plus_one_except_last_slot_edge() {
         let ch = challenge(256, 4);
         let mut parts = participants(40);
-        let outcome = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        let outcome = engine_round(&mut parts, &ch);
         let reply_slots = outcome.bitstring.count_ones() as u64;
         // One initial announcement + one re-seed per reply slot, minus
         // one if the final slot replied (no slots remain to re-seed).
@@ -567,7 +490,7 @@ mod tests {
         for p in &mut parts {
             p.mute = true;
         }
-        let outcome = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        let outcome = engine_round(&mut parts, &ch);
         assert_eq!(outcome.bitstring.count_ones(), 0);
         assert_eq!(outcome.announcements, 1);
         assert!(parts.iter().all(|p| p.counter.get() == 1));
@@ -641,7 +564,7 @@ mod tests {
     fn single_slot_frame_works() {
         let ch = challenge(1, 9);
         let mut parts = participants(3);
-        let outcome = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        let outcome = engine_round(&mut parts, &ch);
         assert_eq!(outcome.bitstring.len(), 1);
         assert!(outcome.bitstring.get(0).unwrap());
         assert_eq!(outcome.announcements, 1);
@@ -651,7 +574,7 @@ mod tests {
     fn empty_participant_list_yields_all_zero_bs() {
         let ch = challenge(32, 10);
         let mut parts: Vec<UtrpParticipant> = Vec::new();
-        let outcome = simulate_round(&mut parts, ch.frame_size(), ch.nonces()).unwrap();
+        let outcome = engine_round(&mut parts, &ch);
         assert_eq!(outcome.bitstring.count_ones(), 0);
         assert_eq!(outcome.announcements, 1);
     }

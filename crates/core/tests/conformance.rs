@@ -13,8 +13,7 @@ use tagwatch_core::math::detection::{detection_probability, EmptySlotModel};
 use tagwatch_core::nonce::NonceSequence;
 use tagwatch_core::timer::ResponseTimer;
 use tagwatch_core::trp::{expected_bitstring, TrpChallenge};
-use tagwatch_core::utrp::{simulate_round, UtrpParticipant};
-use tagwatch_core::MonitorParams;
+use tagwatch_core::{MonitorParams, RoundScratch};
 use tagwatch_sim::aloha::FramePlan;
 use tagwatch_sim::hash::{slot_for, slot_for_counted};
 use tagwatch_sim::tag::{SlotMode, Tag, TagReply};
@@ -156,7 +155,7 @@ fn alg7_line1_counter_increments_before_hashing() {
 #[test]
 fn alg6_reseed_rule_f_prime_equals_slots_remaining() {
     // Re-derive one honest round independently, following Alg. 6/7 text
-    // with direct hash calls, and compare with simulate_round.
+    // with direct hash calls, and compare with the round engine.
     let f = FrameSize::new(12).unwrap();
     let nonces = NonceSequence::from_nonces((0..12).map(Nonce::new).collect());
     let ids: Vec<TagId> = (1..=4u64).map(TagId::from).collect();
@@ -207,14 +206,13 @@ fn alg6_reseed_rule_f_prime_equals_slots_remaining() {
         r = announce(&mut ct, &mut nonce_idx);
     }
 
-    let mut parts: Vec<UtrpParticipant> = ids
-        .iter()
-        .map(|&id| UtrpParticipant::new(id, Counter::ZERO))
-        .collect();
-    let outcome = simulate_round(&mut parts, f, &nonces).unwrap();
-    assert_eq!(outcome.bitstring.to_bools(), expected_bits);
-    assert_eq!(outcome.announcements, ct);
-    assert!(parts.iter().all(|p| p.counter.get() == ct));
+    // The engine returns the announcement count; every tag's counter
+    // advances by it, the `ct` every tag reached above.
+    let mut scratch = RoundScratch::new();
+    scratch.load_pairs(ids.iter().map(|&id| (id, Counter::ZERO)));
+    let announcements = scratch.run(f, &nonces).unwrap();
+    assert_eq!(scratch.bitstring().to_bools(), expected_bits);
+    assert_eq!(announcements, ct);
 }
 
 #[test]
@@ -226,14 +224,13 @@ fn alg5_nonce_consumption_is_in_committed_order() {
     let f = FrameSize::new(64).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
     let nonces = NonceSequence::for_frame(f, &mut rng);
-    let mut parts: Vec<UtrpParticipant> = (1..=30u64)
-        .map(|i| UtrpParticipant::new(TagId::from(i), Counter::ZERO))
-        .collect();
-    let outcome = simulate_round(&mut parts, f, &nonces).unwrap();
-    assert!(outcome.announcements as usize <= nonces.len());
+    let mut scratch = RoundScratch::new();
+    scratch.load_pairs((1..=30u64).map(|i| (TagId::from(i), Counter::ZERO)));
+    let announcements = scratch.run(f, &nonces).unwrap();
+    assert!(announcements as usize <= nonces.len());
     // 1 initial + one per reply slot except a final-slot reply.
-    let replies = outcome.bitstring.count_ones() as u64;
-    assert!(outcome.announcements >= replies.max(1));
+    let replies = scratch.bitstring().count_ones() as u64;
+    assert!(announcements >= replies.max(1));
 }
 
 // ---------------------------------------------------------------------

@@ -164,8 +164,8 @@ proptest! {
         nonce_seed in any::<u64>(),
     ) {
         use rand::SeedableRng;
-        use tagwatch_core::utrp::{simulate_round, UtrpChallenge, UtrpParticipant};
-        use tagwatch_core::{run_device_round, RoundScratch};
+        use tagwatch_core::utrp::{UtrpChallenge, UtrpParticipant};
+        use tagwatch_core::{run_device_round, RoundEngine, RoundScratch};
         use tagwatch_sim::{Channel, FaultPlan, FrameSize, Tag, TagPopulation, TimingModel};
 
         // Random population: ids dense, counters arbitrary (uniform
@@ -177,7 +177,7 @@ proptest! {
             &TimingModel::gen2(),
             &mut rng,
         );
-        let mut fast: Vec<UtrpParticipant> = counters
+        let parts: Vec<UtrpParticipant> = counters
             .iter()
             .enumerate()
             .map(|(i, &ct)| {
@@ -186,9 +186,8 @@ proptest! {
                 p
             })
             .collect();
-        let pristine = fast.clone();
         // The device oracle over the same tags, on an ideal channel.
-        let mut floor: TagPopulation = fast
+        let mut floor: TagPopulation = parts
             .iter()
             .map(|p| {
                 let mut tag = Tag::with_counter(p.id, p.counter);
@@ -197,7 +196,6 @@ proptest! {
             })
             .collect();
 
-        let a = simulate_round(&mut fast, ch.frame_size(), ch.nonces()).unwrap();
         let b = run_device_round(
             &mut floor,
             &ch,
@@ -207,19 +205,18 @@ proptest! {
             &mut rng,
         )
         .unwrap();
-        prop_assert_eq!(&a.bitstring, &b.bitstring, "outcome diverged");
-        prop_assert_eq!(a.announcements, b.announcements, "outcome diverged");
-        for (p, tag) in fast.iter().zip(floor.iter()) {
-            prop_assert_eq!(p.counter, tag.counter(), "counters diverged");
-        }
-
-        // A reused scratch must agree with the one-shot path too.
+        // A reused scratch must agree with the oracle every time.
         let mut scratch = RoundScratch::new();
         for _ in 0..2 {
-            scratch.load_participants(&pristine);
+            scratch.load_participants(&parts);
             let announcements = scratch.run(ch.frame_size(), ch.nonces()).unwrap();
-            prop_assert_eq!(scratch.bitstring(), &a.bitstring);
-            prop_assert_eq!(announcements, a.announcements);
+            prop_assert_eq!(scratch.bitstring(), &b.bitstring, "outcome diverged");
+            prop_assert_eq!(announcements, b.announcements, "outcome diverged");
+        }
+        // Every device counter advanced by the announcement count.
+        for (p, tag) in parts.iter().zip(floor.iter()) {
+            let advanced = Counter::new(p.counter.get().wrapping_add(b.announcements));
+            prop_assert_eq!(advanced, tag.counter(), "counters diverged");
         }
     }
 }

@@ -101,8 +101,9 @@ pub struct CallGraph {
     pub succ: Vec<Vec<usize>>,
     /// Non-function items, sorted like `fns`.
     pub types: Vec<TypeNode>,
-    /// Workspace-wide identifier reference counts (declaration name
-    /// tokens, `use` statements, and `impl` headers excluded).
+    /// Identifier reference counts over non-test code: `src/` outside
+    /// `#[cfg(test)]`, bins, examples and `benchmark/src` (declaration
+    /// name tokens, `use` statements, and `impl` headers excluded).
     pub refs: BTreeMap<String, u32>,
     /// `static mut` declarations: (file, name, line, col).
     pub statics_mut: Vec<(String, String, u32, u32)>,
@@ -165,8 +166,10 @@ impl CallGraph {
                     in_test: t.in_test || nonsrc,
                 });
             }
-            for (name, count) in &parsed.refs {
-                *g.refs.entry(name.clone()).or_insert(0) += count;
+            if meta.role != FileRole::Test {
+                for (name, count) in &parsed.refs {
+                    *g.refs.entry(name.clone()).or_insert(0) += count;
+                }
             }
             for s in &parsed.statics_mut {
                 g.statics_mut.push((rel.clone(), s.what.clone(), s.line, 1));

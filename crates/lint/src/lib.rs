@@ -63,17 +63,8 @@ pub use workspace::{discover, find_root, SourceFile};
 
 /// Analyzes every non-vendored source file under `root`: the lexical
 /// pass, the call-graph taint pass, one combined suppression step, and
-/// the stale-allow audit.
-///
-/// # Errors
-///
-/// Propagates I/O errors from file discovery or reading.
-pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    analyze_workspace_full(root).map(|(analysis, _)| analysis)
-}
-
-/// [`analyze_workspace`], also returning the resolved call graph for
-/// the `--graph-out` artifact.
+/// the stale-allow audit. Also returns the resolved call graph for the
+/// `--graph-out` artifact.
 ///
 /// # Errors
 ///

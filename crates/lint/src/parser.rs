@@ -683,7 +683,7 @@ impl<'a> Parser<'a> {
                 && !self.is_path_sep(k + 4)
             {
                 // Bare multi-segment path not followed by a call:
-                // `map(Self::helper)`, `sort_by_key(fnv1a_bytes)` — the
+                // `map(Self::helper)`, `map(export::json_escape)` — the
                 // trailing segment may still be a function reference.
                 let tail = self.code.text(k + 3);
                 if tail.chars().next().is_some_and(char::is_lowercase) {
@@ -725,11 +725,15 @@ impl<'a> Parser<'a> {
 
     /// Counts identifier references, excluding the recorded
     /// non-reference tokens (declaration names, use statements, impl
-    /// headers). Format-string interpolations (`"{PROM_PREFIX}x"`)
-    /// also count: they are how exporters reference shared constants.
+    /// headers) and everything inside `#[cfg(test)]`: a test is not a
+    /// caller. Format-string interpolations (`"{PROM_PREFIX}x"`) also
+    /// count: they are how exporters reference shared constants.
     fn collect_refs(&mut self) {
         self.nonref.sort_unstable();
         for k in 0..self.code.len() {
+            if self.in_test(k) {
+                continue;
+            }
             match self.code.kind(k) {
                 Some(TokenKind::Ident) => {
                     if self.nonref.binary_search(&k).is_ok() {

@@ -46,7 +46,7 @@ pub enum RuleId {
     /// C1: concurrency hygiene — no `static mut`, primitives confined
     /// to the designated pool modules, merge paths taint-clean.
     C1PoolDiscipline,
-    /// U1: pub items referenced nowhere in the workspace.
+    /// U1: pub items that no non-test code references.
     U1DeadPub,
     /// Meta-rule: malformed `lint:allow` escapes.
     AllowSyntax,
@@ -130,8 +130,8 @@ impl RuleId {
                  PooledEngine taint-clean"
             }
             RuleId::U1DeadPub => {
-                "pub items referenced from no bin, test, or facade path anywhere in the \
-                 workspace are dead API"
+                "pub items that no library, bin, example, or benchmark code references are \
+                 dead API; tests do not count as callers"
             }
             RuleId::AllowSyntax => "lint:allow escapes must name a known rule and give a reason",
             RuleId::AllowStale => {
@@ -213,12 +213,17 @@ impl RuleId {
                  never reaches a nondeterminism source."
             }
             RuleId::U1DeadPub => {
-                "A pub item no bin, test, or facade path references is API surface \
-                 that can silently rot — exactly how deprecated shims linger. The \
-                 rule counts identifier references across the whole workspace \
-                 (excluding declarations, use statements, and impl headers); zero \
-                 references means the item is dead. Delete it, demote it to \
-                 pub(crate), or reference it from a test that pins its contract."
+                "A pub item that only tests reach is API surface the program does not \
+                 use — exactly how deprecated shims and second copies of a live body \
+                 linger. The rule counts identifier references in non-test code: src/ \
+                 outside #[cfg(test)], bins, examples, and benchmark/src outside its \
+                 test modules (declarations, use statements, and impl headers \
+                 excluded). An item's own tests never keep it alive; zero references \
+                 means the item is dead. Delete it (test the live body instead) or \
+                 demote it to pub(crate). An item that tests need and the program \
+                 never calls — an oracle, a scenario builder or reader, or an attack \
+                 demonstration — keeps a lint:allow(u1-dead-pub) naming its role and \
+                 a test that uses it."
             }
             RuleId::AllowSyntax => {
                 "lint:allow(rule): reason is a scoped, auditable waiver. An allow \
@@ -399,6 +404,7 @@ pub struct RawAnalysis {
 /// Analyzes one file's source. Returns the findings (already
 /// allow-filtered) and the valid allow escapes encountered.
 #[must_use]
+// lint:allow(u1-dead-pub): reader: lint/tests/fixture_rules.rs::raw_strings_are_inert runs the lexical rules on one fixture with it
 pub fn analyze_source(
     meta: &FileMeta,
     rel_path: &str,

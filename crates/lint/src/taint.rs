@@ -2,9 +2,9 @@
 //! evaluated over [`crate::graph::CallGraph`].
 //!
 //! * **`d4-digest-taint`** — every digest/export *sink* (direct
-//!   callers of the FNV-1a primitives, plus the named serializers:
-//!   JSON report writers, WAL record encoders, checkpoint
-//!   serializers, the Prometheus text exporter, span/flight JSONL
+//!   callers of the FNV-1a primitive, plus the named serializers:
+//!   JSON report writers, the WAL record writer, the checkpoint
+//!   serializer, the Prometheus text exporter, span/flight JSONL
 //!   writers) is BFS-walked through its callees; reaching a function
 //!   containing a nondeterminism *source* token (wall clock, unseeded
 //!   RNG, scheduler identity, env reads, unordered hash iteration) is
@@ -14,9 +14,9 @@
 //!   `Atomic*`/`thread::spawn`/`thread::scope`) are confined to the
 //!   designated pool modules; and the merge path reachable from
 //!   `PooledEngine`'s methods must itself be taint-clean.
-//! * **`u1-dead-pub`** — a `pub` item whose name is referenced nowhere
-//!   in the workspace (outside its own declaration, `use` statements,
-//!   and `impl` headers) is dead API.
+//! * **`u1-dead-pub`** — a `pub` item whose name no non-test code
+//!   references (outside its own declaration, `use` statements, and
+//!   `impl` headers) is dead API: a test is not a caller.
 //!
 //! Scoping: test code (both `#[cfg(test)]` regions and non-`Src`
 //! files) is exempt from d4 and the c1 confinement check; the `bench`
@@ -36,18 +36,18 @@ const DESIGNATED_CONCURRENCY_FILES: [&str; 2] = [
 ];
 
 /// Qualified-path suffixes that are digest/export sinks even when
-/// they do not call the FNV primitives directly.
-const SINK_SUFFIXES: [&str; 6] = [
+/// they do not call the FNV primitive directly. Each must name a
+/// non-test fn of the workspace; a test checks that it does.
+const SINK_SUFFIXES: [&str; 5] = [
     "to_prometheus_text",
     "to_jsonl",
     "to_json",
-    "wal::encode_record",
-    "Checkpoint::to_bytes",
-    "SpanSink::render",
+    "CheckpointDoc::to_bytes",
+    "WalWriter::append",
 ];
 
 /// Names of the FNV-1a digest primitives; any direct caller is a sink.
-const DIGEST_PRIMITIVES: [&str; 2] = ["fnv1a_bytes", "fnv1a_lines"];
+const DIGEST_PRIMITIVES: [&str; 1] = ["fnv1a_lines"];
 
 /// Runs every call-graph rule. Findings come back unsorted and
 /// unsuppressed; the workspace pass merges, suppresses, and sorts.
@@ -190,7 +190,7 @@ fn check_c1(graph: &CallGraph, findings: &mut Vec<Finding>) {
     }
 }
 
-/// u1-dead-pub: pub items with zero workspace references.
+/// u1-dead-pub: pub items that no non-test code references.
 fn check_u1(graph: &CallGraph, findings: &mut Vec<Finding>) {
     let refcount = |name: &str| graph.refs.get(name).copied().unwrap_or(0);
     for f in &graph.fns {
@@ -204,8 +204,8 @@ fn check_u1(graph: &CallGraph, findings: &mut Vec<Finding>) {
                 line: f.line,
                 col: f.col,
                 message: format!(
-                    "pub fn `{}` is referenced nowhere in the workspace (no bin, \
-                     test, or facade path reaches it) — delete it or pin it with a test",
+                    "pub fn `{}` has no caller outside tests (no library, bin, \
+                     example, or benchmark code names it) — delete it",
                     f.qual
                 ),
                 chain: Vec::new(),
@@ -223,8 +223,7 @@ fn check_u1(graph: &CallGraph, findings: &mut Vec<Finding>) {
                 line: t.line,
                 col: t.col,
                 message: format!(
-                    "pub {} `{}` is referenced nowhere in the workspace — delete it \
-                     or pin it with a test",
+                    "pub {} `{}` has no user outside tests — delete it",
                     t.kind.keyword(),
                     t.qual
                 ),
@@ -335,17 +334,43 @@ mod tests {
 
     #[test]
     fn u1_flags_unreferenced_pub_items_only() {
+        // A `#[cfg(test)]` reference is not a caller.
         let g = build(&[(
             "crates/core/src/api.rs",
             "core",
-            "pub fn orphan() {}\npub fn used() {}\nfn caller() { used(); }\n",
+            "pub fn orphan() {}\npub fn used() {}\npub fn only_tested() {}\n\
+             fn caller() { used(); }\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { super::used(); super::only_tested(); }\n}\n",
         )]);
         let findings = check(&g);
-        let dead: Vec<&Finding> = findings
+        let mut dead: Vec<&str> = findings
             .iter()
             .filter(|f| f.rule == RuleId::U1DeadPub)
+            .map(|f| f.message.as_str())
             .collect();
-        assert_eq!(dead.len(), 1, "{dead:?}");
-        assert!(dead[0].message.contains("core::api::orphan"));
+        dead.sort_unstable();
+        assert_eq!(dead.len(), 2, "{dead:?}");
+        assert!(dead[0].contains("core::api::only_tested"), "{dead:?}");
+        assert!(dead[1].contains("core::api::orphan"), "{dead:?}");
+    }
+
+    #[test]
+    fn every_named_sink_resolves_to_live_workspace_code() {
+        let root = crate::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root above the lint crate");
+        let (_, graph) = crate::analyze_workspace_full(&root).expect("analyzable workspace");
+        let live = |ids: Vec<usize>| ids.into_iter().any(|i| !taint_exempt(&graph, i));
+        for suffix in SINK_SUFFIXES {
+            assert!(
+                live(graph.find_by_suffix(suffix)),
+                "sink `{suffix}` names no live fn"
+            );
+        }
+        for name in DIGEST_PRIMITIVES {
+            assert!(
+                live(graph.find_by_suffix(name)),
+                "primitive `{name}` names no live fn"
+            );
+        }
     }
 }

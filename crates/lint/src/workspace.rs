@@ -10,7 +10,8 @@
 //! (`benchmark/src`) is a package of its own outside the workspace, but
 //! it calls the crates' public API, so it is scanned as a caller with
 //! the reduced example rule set: without it, `u1-dead-pub` would report
-//! items that only the benchmark uses.
+//! items that only the benchmark uses. `tests/` files are scanned too,
+//! but their references never make an item live.
 //!
 //! Directory entries are sorted at every level, so the file list —
 //! and therefore the findings report and its digest — is identical

@@ -210,13 +210,13 @@ fn s3_fires_on_undocumented_public_items() {
 fn workspace_is_clean_under_deny() {
     let root = tagwatch_lint::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the lint crate");
-    let analysis = tagwatch_lint::analyze_workspace(&root).expect("analyzable workspace");
+    let (analysis, _) = tagwatch_lint::analyze_workspace_full(&root).expect("analyzable workspace");
     assert!(
         analysis.is_clean(),
         "workspace has lint findings:\n{}",
         analysis.human()
     );
     // The digested report is byte-deterministic across runs.
-    let again = tagwatch_lint::analyze_workspace(&root).expect("analyzable workspace");
+    let (again, _) = tagwatch_lint::analyze_workspace_full(&root).expect("analyzable workspace");
     assert_eq!(analysis.to_json(), again.to_json());
 }

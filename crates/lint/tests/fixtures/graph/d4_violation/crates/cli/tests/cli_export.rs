@@ -1,4 +1,4 @@
-//! Pins the fixture's public surface so u1 stays out of the d4 story.
+//! Calls the sink from a test; the d4 test reads only d4 findings.
 
 #[test]
 fn jsonl_mentions_every_event() {

@@ -2,12 +2,13 @@
 //! dead item and leave the referenced one alone.
 #![forbid(unsafe_code)]
 
-/// Referenced from the integration test below — live.
+/// Called from the example — live.
 pub fn live_api() -> u64 {
     41
 }
 
-/// Referenced nowhere in any bin, test, or facade — the rule's target.
+/// Called from no library, bin, example, or benchmark code — the
+/// rule's target.
 pub fn dead_api() -> u64 {
     42
 }

@@ -113,9 +113,33 @@ fn u1_names_the_dead_item_and_spares_the_live_one() {
     assert!(u1[0].message.contains("store::dead_api"), "{:?}", u1[0]);
     assert!(
         !analysis.human().contains("live_api"),
-        "the test-referenced fn must not be flagged:\n{}",
+        "the example-called fn must not be flagged:\n{}",
         analysis.human()
     );
+}
+
+#[test]
+fn u1_counts_no_test_as_a_caller() {
+    let (analysis, _) = scenario("u1_test_callers");
+    let u1 = of_rule(&analysis, RuleId::U1DeadPub);
+    assert_eq!(u1.len(), 3, "{:?}", analysis.findings);
+    // A tests/ file, a #[cfg(test)] module, and the benchmark's test
+    // module name these three, and none of them is a caller.
+    for dead in [
+        "`store::integration_tested_api`",
+        "`store::unit_tested_api`",
+        "`store::bench_tested_api`",
+    ] {
+        assert!(
+            u1.iter().any(|f| f.message.contains(dead)),
+            "{dead}: {u1:?}"
+        );
+    }
+    // An example and the benchmark's own code are callers.
+    let human = analysis.human();
+    for live in ["`store::example_api`", "`store::bench_api`"] {
+        assert!(!human.contains(live), "{live} flagged:\n{human}");
+    }
 }
 
 #[test]

@@ -14,17 +14,6 @@ pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice.
-#[must_use]
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// FNV-1a over a sequence of lines, hashing each line's bytes plus a
 /// terminating `\n` — exactly the digest `analytics::soak` has always
 /// used for its per-tick event log, so existing fingerprints are
@@ -150,7 +139,6 @@ mod tests {
             expect = expect.wrapping_mul(FNV_PRIME);
         }
         assert_eq!(fnv1a_lines(["ab"]), expect);
-        assert_eq!(fnv1a_bytes(b"ab\n"), expect);
     }
 
     #[test]

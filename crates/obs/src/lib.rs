@@ -40,8 +40,8 @@ pub mod span;
 
 pub use event::{ObsEvent, ProtoKind, VerdictKind};
 pub use export::{
-    fnv1a_bytes, fnv1a_lines, json_escape, json_f64, to_prometheus_text, FNV_OFFSET_BASIS,
-    FNV_PRIME, PROM_PREFIX,
+    fnv1a_lines, json_escape, json_f64, to_prometheus_text, FNV_OFFSET_BASIS, FNV_PRIME,
+    PROM_PREFIX,
 };
 pub use histogram::{percentile, Histogram};
 pub use metrics::{CounterId, FlightDump, GaugeId, HistogramId, Obs, StandardMetrics};

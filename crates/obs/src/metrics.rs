@@ -370,6 +370,7 @@ impl Obs {
 
     /// Clones a histogram's current state.
     #[must_use]
+    // lint:allow(u1-dead-pub): reader: metrics::tests::counters_gauges_histograms_record reads a histogram back with it
     pub fn histogram(&self, id: HistogramId) -> Histogram {
         self.reg.histograms[id.0].borrow().clone()
     }
@@ -437,6 +438,7 @@ impl Obs {
 
     /// The exact per-phase cost rollup (all-zero when spans are off).
     #[must_use]
+    // lint:allow(u1-dead-pub): reader: analytics/tests/span_attribution.rs::utrp_rollup_attributes_every_slot_and_probe reads the rollup with it
     pub fn span_rollup(&self) -> SpanRollup {
         self.spans.borrow().rollup()
     }

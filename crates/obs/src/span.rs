@@ -403,12 +403,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Spans currently open.
-    #[must_use]
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Nodes dropped by the retention cap.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -660,6 +654,9 @@ mod tests {
         let mut rec = SpanRecorder::new(true);
         rec.close();
         assert!(rec.is_empty());
-        assert_eq!(rec.open_depth(), 0);
+        rec.open(SpanKind::Tick);
+        rec.close();
+        assert_eq!(rec.len(), 1, "a stray close must not unbalance later spans");
+        assert_eq!(rec.rollup().ticks, 1);
     }
 }

@@ -159,6 +159,7 @@ impl FrameExecution {
 /// Server-side prediction of the occupancy bitstring an ideal-channel
 /// execution of `(f, r)` over `ids` would produce.
 #[must_use]
+// lint:allow(u1-dead-pub): oracle: the `%` reference tests/property_based.rs::occupancy_writer_equals_the_bool_prediction holds the FastMod writer to
 pub fn predicted_occupancy(ids: &[TagId], r: Nonce, f: FrameSize) -> Vec<bool> {
     let mut bits = vec![false; f.as_usize()];
     for &id in ids {

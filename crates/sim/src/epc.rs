@@ -138,6 +138,7 @@ impl Sgtin96 {
     ///
     /// Returns [`SimError::NotSgtin`] for a wrong header or an invalid
     /// partition value.
+    // lint:allow(u1-dead-pub): oracle: the inverse of encode; tests/extensions.rs::sgtin_identities_flow_through_trp_unchanged reads the tags back with it
     pub fn decode(id: TagId) -> Result<Self, SimError> {
         let bits = id.as_u128();
         let header = (bits >> 88) as u8;

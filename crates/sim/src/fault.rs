@@ -69,6 +69,7 @@ impl FaultPlan {
 
     /// Loses every uplink reply transmitted in global slot `slot`.
     #[must_use]
+    // lint:allow(u1-dead-pub): scenario builder: tests/failure_injection.rs::unified_executor_agrees_with_both_legacy_fault_engines scripts lost replies with it
     pub fn lose_replies_at(mut self, slot: u64) -> Self {
         self.lost_reply_slots.insert(slot);
         self
@@ -164,12 +165,6 @@ impl FaultPlan {
     #[must_use]
     pub fn truncation(&self) -> Option<u64> {
         self.truncate_to
-    }
-
-    /// The scripted clock-skew factor (1.0 when unscripted).
-    #[must_use]
-    pub fn clock_skew_factor(&self) -> f64 {
-        self.clock_skew.unwrap_or(1.0)
     }
 
     /// Applies the scripted clock skew to a measured duration.
@@ -298,6 +293,7 @@ impl StorageFaultPlan {
 
     /// Damages the persisted bytes with `fault` when the crash fires.
     #[must_use]
+    // lint:allow(u1-dead-pub): scenario builder: analytics/tests/durability.rs::damaged_crashes_across_protocols_still_converge scripts storage damage with it
     pub fn with_damage(mut self, fault: StorageFault) -> Self {
         self.damage = Some(fault);
         self
@@ -402,7 +398,6 @@ mod tests {
         assert!(!plan.misses_announcement(0, TagId::new(1)));
         assert_eq!(plan.crash_slot(), None);
         assert_eq!(plan.truncation(), None);
-        assert_eq!(plan.clock_skew_factor(), 1.0);
     }
 
     #[test]
@@ -423,7 +418,10 @@ mod tests {
         assert!(!plan.misses_announcement(0, TagId::new(5)));
         assert_eq!(plan.crash_slot(), Some(40));
         assert_eq!(plan.truncation(), Some(16));
-        assert_eq!(plan.clock_skew_factor(), 1.25);
+        assert_eq!(
+            plan.skewed(SimDuration::from_micros(100)),
+            SimDuration::from_micros(125)
+        );
     }
 
     #[test]

@@ -319,7 +319,8 @@ mod tests {
 
     #[test]
     fn single_slot_frame_always_slot_zero() {
-        assert_eq!(slot_for(TagId::new(123), Nonce::new(9), FrameSize::ONE), 0);
+        let one = FrameSize::new(1).unwrap();
+        assert_eq!(slot_for(TagId::new(123), Nonce::new(9), one), 0);
     }
 
     #[test]

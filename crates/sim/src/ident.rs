@@ -142,12 +142,6 @@ impl FrameSize {
     /// frame the sizing math produces for realistic populations.
     pub const MAX: u64 = 1 << 24;
 
-    /// The single-slot frame.
-    pub const ONE: FrameSize = FrameSize(match NonZeroU64::new(1) {
-        Some(v) => v,
-        None => unreachable!(),
-    });
-
     /// Creates a validated frame size.
     ///
     /// # Errors
@@ -272,10 +266,5 @@ mod tests {
         assert_eq!(r.as_u64(), 0x0123_4567_89ab_cdef);
         assert_eq!(Nonce::from(5u64), Nonce::new(5));
         assert_eq!(r.to_string(), "r:0123456789abcdef");
-    }
-
-    #[test]
-    fn frame_size_one_constant() {
-        assert_eq!(FrameSize::ONE.get(), 1);
     }
 }

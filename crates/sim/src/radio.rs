@@ -42,15 +42,6 @@ impl SlotOutcome {
     pub fn is_occupied(self) -> bool {
         !matches!(self, SlotOutcome::Empty)
     }
-
-    /// The decoded reply, if the slot resolved to exactly one.
-    #[must_use]
-    pub fn single(self) -> Option<TagReply> {
-        match self {
-            SlotOutcome::Single(reply) => Some(reply),
-            _ => None,
-        }
-    }
 }
 
 /// What the reader hears in one slot, by position rather than by reply:
@@ -381,13 +372,6 @@ mod tests {
         assert!(!SlotOutcome::Empty.is_occupied());
         assert!(SlotOutcome::Single(presence(0)).is_occupied());
         assert!(SlotOutcome::Collision { transmitters: 3 }.is_occupied());
-    }
-
-    #[test]
-    fn single_accessor() {
-        assert_eq!(SlotOutcome::Empty.single(), None);
-        assert_eq!(SlotOutcome::Single(presence(9)).single(), Some(presence(9)));
-        assert_eq!(SlotOutcome::Collision { transmitters: 2 }.single(), None);
     }
 
     #[test]

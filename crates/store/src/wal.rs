@@ -114,17 +114,6 @@ pub fn record_checksum(kind: u8, payload: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes one record into its on-disk framing.
-#[must_use]
-pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MIN_RECORD_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind.as_u8());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&record_checksum(kind.as_u8(), payload).to_le_bytes());
-    out
-}
-
 /// An append-only WAL being built in memory.
 ///
 /// The writer owns the byte buffer; callers persist it with
@@ -245,12 +234,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_record_matches_writer_append() {
+    fn append_frames_length_kind_payload_and_checksum() {
+        let payload = b"t=00001 verdict=intact";
         let mut writer = WalWriter::new();
-        writer.append(RecordKind::Tick, b"t=00001 verdict=intact");
-        let encoded = encode_record(RecordKind::Tick, b"t=00001 verdict=intact");
-        assert_eq!(&writer.bytes()[WAL_HEADER_LEN..], &encoded[..]);
-        assert_eq!(encoded.len(), MIN_RECORD_LEN + 22);
+        writer.append(RecordKind::Tick, payload);
+        let record = &writer.bytes()[WAL_HEADER_LEN..];
+        let end = 5 + payload.len();
+        assert_eq!(record.len(), MIN_RECORD_LEN + payload.len());
+        assert_eq!(record[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(record[4], RecordKind::Tick.as_u8());
+        assert_eq!(&record[5..end], payload);
+        let checksum = record_checksum(RecordKind::Tick.as_u8(), payload);
+        assert_eq!(record[end..], checksum.to_le_bytes());
     }
 
     #[test]

@@ -24,15 +24,17 @@ fn replay_never_beats_fresh_challenges() {
     let mut rng = StdRng::seed_from_u64(1);
 
     let mut attacker = ReplayAttacker::new();
+    let mut taped = std::collections::BTreeSet::new();
     // Attacker tapes 5 honest rounds while the set is intact.
     for _ in 0..5 {
         let ch = server.issue_trp_challenge(&mut rng).unwrap();
+        taped.insert(ch.plan().nonce());
         attacker.record(&ch, observed_bitstring(&stock.ids(), &ch));
         // The honest result is also submitted, keeping the server happy.
         let bs = attacker.respond(&ch);
         assert!(server.verify_trp(ch, &bs).unwrap().verdict.is_intact());
     }
-    assert_eq!(attacker.recordings(), 5);
+    assert_eq!(taped.len(), 5, "every taped challenge had a fresh nonce");
 
     // Theft happens; attacker replays tapes against 50 fresh challenges.
     for _ in 0..50 {

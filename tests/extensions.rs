@@ -29,7 +29,10 @@ fn grouped_monitor_with_sgtin_identities_end_to_end() {
             .add_group(name, ids.iter().copied(), 3, 0.95)
             .unwrap();
     }
-    assert_eq!(monitor.total_tags(), 200 + 250 + 300 + 350);
+    assert_eq!(
+        monitor.to_string(),
+        format!("grouped monitor: 4 groups, {} tags", 200 + 250 + 300 + 350)
+    );
 
     // Steal from pallet-2 beyond tolerance; others intact.
     let mut floor2 = TagPopulation::from_ids(pallets[2].1.clone()).unwrap();
