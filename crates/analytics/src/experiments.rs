@@ -66,19 +66,6 @@ impl SweepConfig {
         }
     }
 
-    /// Scales trial counts by the `TAGWATCH_TRIALS` environment variable
-    /// if set (the figure binaries honour this for fast smoke runs).
-    #[must_use]
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Ok(t) = std::env::var("TAGWATCH_TRIALS") {
-            if let Ok(t) = t.parse::<u64>() {
-                self.trials = t.max(1);
-                self.collect_trials = (t / 10).clamp(1, self.collect_trials.max(1));
-            }
-        }
-        self
-    }
-
     fn cell_seeds(&self, figure: u64, m: u64, n: u64) -> SeedSequence {
         SeedSequence::new(self.seed).child(figure).child(m).child(n)
     }
@@ -301,6 +288,10 @@ pub fn fig4_time(config: &SweepConfig) -> Result<Vec<Fig4TimeRow>, CoreError> {
                     ..ReaderConfig::default()
                 });
                 let mut pop = TagPopulation::with_sequential_ids(n as usize);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "CollectAllConfig::paper(n, m) is valid whenever MonitorParams::new(n, m, alpha) succeeded above, and a Result cannot cross the parallel_map closure boundary"
+                )]
                 let run = collect_all(
                     &mut reader,
                     &mut pop,
@@ -308,7 +299,6 @@ pub fn fig4_time(config: &SweepConfig) -> Result<Vec<Fig4TimeRow>, CoreError> {
                     &CollectAllConfig::paper(n, m),
                     &mut rng,
                 )
-                // lint:allow(s2-panic): CollectAllConfig::paper(n, m) is valid whenever MonitorParams::new(n, m, alpha) succeeded above, and a Result cannot cross the parallel_map closure boundary
                 .expect("valid config");
                 run.duration.as_micros() as f64
             });
@@ -566,16 +556,5 @@ mod tests {
         );
         // Everyone shares the same frame (sized for c = 20).
         assert!(rows.iter().all(|r| r.frame == at(20).frame));
-    }
-
-    #[test]
-    fn env_override_scales_trials() {
-        // Note: set/remove env var carefully — tests run in threads, so
-        // use a unique name access pattern guarded by a lock-free
-        // single-use variable.
-        std::env::set_var("TAGWATCH_TRIALS", "7");
-        let cfg = SweepConfig::quick().with_env_overrides();
-        std::env::remove_var("TAGWATCH_TRIALS");
-        assert_eq!(cfg.trials, 7);
     }
 }

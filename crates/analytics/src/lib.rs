@@ -33,6 +33,7 @@
 //!   corrupted WAL tails are excised with an attributable trace.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -35,12 +35,18 @@ pub fn trp_detection_trial(n: u64, m: u64, f: FrameSize, seed: u64) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pop = TagPopulation::with_sequential_ids(n as usize);
     let all_ids = pop.ids();
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+    )]
     pop.remove_random((m + 1) as usize, &mut rng)
-        // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
         .expect("m + 1 <= n validated upstream");
     let challenge = TrpChallenge::generate(f, &mut rng);
     let observed = observed_bitstring(&pop.ids(), &challenge);
-    // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+    )]
     let report = verify(&all_ids, challenge, &observed).expect("shapes match by construction");
     report.verdict == Verdict::NotIntact
 }
@@ -74,22 +80,31 @@ pub fn utrp_detection_cell(
         let chunk_seeds = seeds.child(chunk);
         let mut rng = chunk_seeds.rng_for(0);
         let challenge = UtrpChallenge::generate(f, &timing, &mut rng);
-        // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+        )]
         let expected = expected_round(&registry, &challenge).expect("sequence covers frame");
         let mut detected = 0u64;
         for t in 0..chunk_trials {
             let mut trial_rng = chunk_seeds.rng_for(t + 1);
             let mut s1 = TagPopulation::with_sequential_ids(n as usize);
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+            )]
             let mut s2 = s1
                 .split_random((m + 1) as usize, &mut trial_rng)
-                // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
                 .expect("m + 1 < n validated upstream");
             let config = ColluderConfig {
                 sync_budget: c,
                 tcomm: SimDuration::from_micros(1),
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+            )]
             let outcome = collude_utrp(&mut s1, &mut s2, &challenge, &config, &timing)
-                // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
                 .expect("sequence covers frame");
             let mismatch = expected.bitstring != outcome.response.bitstring;
             let late = !challenge.timer().accepts(outcome.response.elapsed);
@@ -110,6 +125,10 @@ pub fn collect_all_slots_trial(n: u64, m: u64, seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut reader = Reader::new(ReaderConfig::default());
     let mut pop = TagPopulation::with_sequential_ids(n as usize);
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure"
+    )]
     let run = collect_all(
         &mut reader,
         &mut pop,
@@ -117,7 +136,6 @@ pub fn collect_all_slots_trial(n: u64, m: u64, seed: u64) -> u64 {
         &CollectAllConfig::paper(n, m),
         &mut rng,
     )
-    // lint:allow(s2-panic): documented `# Panics` contract; geometry is validated by the sweep grid before trials spawn, and a Result cannot cross the parallel trial closure
     .expect("valid configuration");
     debug_assert!(!run.truncated);
     run.total_slots

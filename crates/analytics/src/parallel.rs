@@ -63,9 +63,12 @@ where
         for (i, r) in rx {
             slots[i as usize] = Some(r);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the scatter loop sends exactly one result per index in 0..count, so every slot is filled before the channel closes"
+        )]
         slots
             .into_iter()
-            // lint:allow(s2-panic): the scatter loop sends exactly one result per index in 0..count, so every slot is filled before the channel closes
             .map(|s| s.expect("every index computed exactly once"))
             .collect()
     })

@@ -629,7 +629,10 @@ impl MonitoringSession {
         } else {
             self.log.push(SessionEvent::Checked(report));
         }
-        // lint:allow(s2-panic): a SessionEvent was pushed on every branch directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "a SessionEvent was pushed on every branch directly above"
+        )]
         Ok(self.log.last().expect("just pushed"))
     }
 }

@@ -10,16 +10,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::Path;
-
 use tagwatch_analytics::soak::{run_soak_observed_threads, SoakConfig};
 use tagwatch_analytics::{worker_threads, TickProtocol};
 use tagwatch_obs::Obs;
 
 fn golden_digest() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/obs_golden_digest.txt");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    include_str!("../../../results/obs_golden_digest.txt")
         .trim()
         .to_string()
 }

@@ -16,21 +16,14 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::Path;
-
 use proptest::prelude::*;
 use tagwatch_analytics::soak::{run_soak_policy_observed_threads, SoakConfig};
 use tagwatch_analytics::{EscalateAction, Policy, TickProtocol};
 use tagwatch_core::IdentifyConfig;
 use tagwatch_obs::Obs;
 
-fn golden(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../results/{name}"));
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
-        .trim()
-        .to_string()
-}
+const OBS_GOLDEN_DIGEST: &str = include_str!("../../../results/obs_golden_digest.txt");
+const SOAK_GOLDEN_DIGEST: &str = include_str!("../../../results/soak_golden_digest.txt");
 
 fn last_fnv64(artifact: &str) -> String {
     artifact
@@ -118,12 +111,12 @@ fn default_policy_document_reproduces_the_committed_goldens() {
 
     assert_eq!(
         last_fnv64(&obs.snapshot_json()),
-        golden("obs_golden_digest.txt"),
+        OBS_GOLDEN_DIGEST.trim(),
         "the default policy document no longer reproduces the instrumented golden"
     );
     assert_eq!(
         format!("fnv1a:{:016x}", report.digest()),
-        golden("soak_golden_digest.txt"),
+        SOAK_GOLDEN_DIGEST.trim(),
         "the default policy document no longer reproduces the soak report golden"
     );
 }
@@ -148,7 +141,7 @@ fn non_default_document_diverges_from_the_goldens() {
         run_soak_policy_observed_threads(&config, &policy, &Obs::new(), 1).expect("soak runs");
     assert_ne!(
         format!("fnv1a:{:016x}", report.digest()),
-        golden("soak_golden_digest.txt"),
+        SOAK_GOLDEN_DIGEST.trim(),
         "raising the escalation threshold must change the tick log"
     );
 }

@@ -21,6 +21,7 @@
 //!   leave: only ever adds evidence, quantified.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

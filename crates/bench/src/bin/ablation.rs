@@ -14,7 +14,7 @@ use tagwatch_analytics::{budget_sweep, pad_ablation, Table};
 use tagwatch_bench::{banner, sweep_from_args, OutputMode};
 
 fn main() {
-    let (mut config, mode) = sweep_from_args(std::env::args().skip(1));
+    let (mut config, mode) = sweep_from_args(&[]);
     // Ablations fix m = 10 and need fewer n points than the figures.
     config.n_values.retain(|&n| n % 500 == 0 || n == 100);
     banner(

@@ -9,12 +9,11 @@ use tagwatch_analytics::{fig4, fig4_time, sparkline, Table};
 use tagwatch_bench::{banner, sweep_from_args, OutputMode};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, mode) = sweep_from_args(args.iter().cloned());
+    let (config, mode) = sweep_from_args(&["--time"]);
 
     // `--time` prints the Gen2 air-time companion instead of slots
     // (the paper's footnote that collect-all slots carry 96-bit IDs).
-    if args.iter().any(|a| a == "--time") {
+    if std::env::args().skip(1).any(|a| a == "--time") {
         banner(
             "Fig. 4 (time domain)",
             "air time, collect-all vs TRP",

@@ -11,7 +11,7 @@ use tagwatch_analytics::{fig5, sparkline, Table};
 use tagwatch_bench::{banner, sweep_from_args, OutputMode};
 
 fn main() {
-    let (config, mode) = sweep_from_args(std::env::args().skip(1));
+    let (config, mode) = sweep_from_args(&[]);
     banner(
         "Fig. 5",
         "TRP detection probability, adversary steals m+1 tags",

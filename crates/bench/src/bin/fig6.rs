@@ -9,7 +9,7 @@ use tagwatch_analytics::{fig6, sparkline, Table};
 use tagwatch_bench::{banner, sweep_from_args, OutputMode};
 
 fn main() {
-    let (config, mode) = sweep_from_args(std::env::args().skip(1));
+    let (config, mode) = sweep_from_args(&[]);
     banner("Fig. 6", "frame sizes, TRP vs UTRP (c = 20)", &config);
     let rows = fig6(&config).expect("sweep grid rejected by core");
 

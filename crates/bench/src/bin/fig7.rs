@@ -10,7 +10,7 @@ use tagwatch_analytics::{fig7, sparkline, Table};
 use tagwatch_bench::{banner, sweep_from_args, OutputMode};
 
 fn main() {
-    let (config, mode) = sweep_from_args(std::env::args().skip(1));
+    let (config, mode) = sweep_from_args(&[]);
     banner(
         "Fig. 7",
         "UTRP detection probability vs colluding readers",

@@ -42,7 +42,10 @@ impl LnFactorial {
             return;
         }
         self.table.reserve(want - self.table.len());
-        // lint:allow(s2-panic): the table is seeded with ln(0!) = 0 at construction and never shrinks, so last() always exists
+        #[expect(
+            clippy::expect_used,
+            reason = "the table is seeded with ln(0!) = 0 at construction and never shrinks, so last() always exists"
+        )]
         let mut acc = *self.table.last().expect("table holds at least ln(0!)");
         for k in self.table.len() as u64..=max {
             acc += (k as f64).ln();

@@ -149,7 +149,7 @@ mod tests {
     fn nonces_are_distinct_with_overwhelming_probability() {
         let mut rng = StdRng::seed_from_u64(2);
         let seq = NonceSequence::generate(1000, &mut rng);
-        let distinct: std::collections::HashSet<_> = seq.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = seq.iter().collect();
         assert_eq!(distinct.len(), 1000);
     }
 

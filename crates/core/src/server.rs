@@ -742,11 +742,14 @@ impl MonitorServer {
             snapshot.alpha,
             config,
         )?;
+        #[expect(
+            clippy::expect_used,
+            reason = "every id was inserted into the registry by the with_config call directly above; the two loops iterate the same snapshot entries"
+        )]
         for (id, ct) in snapshot.entries {
             *server
                 .registry
                 .get_mut(&id)
-                // lint:allow(s2-panic): every id was inserted into the registry by the with_config call directly above; the two loops iterate the same snapshot entries
                 .expect("ids inserted just above") = ct;
         }
         server.counters_synced = snapshot.counters_synced;

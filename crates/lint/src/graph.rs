@@ -105,8 +105,6 @@ pub struct CallGraph {
     /// `#[cfg(test)]`, bins, examples and `benchmark/src` (declaration
     /// name tokens, `use` statements, and `impl` headers excluded).
     pub refs: BTreeMap<String, u32>,
-    /// `static mut` declarations: (file, name, line, col).
-    pub statics_mut: Vec<(String, String, u32, u32)>,
     /// Unresolved workspace-rooted calls: (caller id, path, line).
     pub unresolved: Vec<(usize, String, u32)>,
 }
@@ -171,15 +169,11 @@ impl CallGraph {
                     *g.refs.entry(name.clone()).or_insert(0) += count;
                 }
             }
-            for s in &parsed.statics_mut {
-                g.statics_mut.push((rel.clone(), s.what.clone(), s.line, 1));
-            }
         }
         g.fns
             .sort_by(|a, b| (&a.qual, &a.file, a.line).cmp(&(&b.qual, &b.file, b.line)));
         g.types
             .sort_by(|a, b| (&a.qual, &a.file, a.line).cmp(&(&b.qual, &b.file, b.line)));
-        g.statics_mut.sort();
 
         // ---- indexes ----------------------------------------------
         let mut by_qual: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -391,7 +385,10 @@ fn module_of(qual: &str, is_method: bool) -> String {
     segs[..keep].join("::")
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the caller's indexes are borrowed once per build and passed down unbundled"
+)]
 fn resolve(
     method: bool,
     path: &[String],
@@ -514,7 +511,6 @@ mod tests {
         FileMeta {
             crate_name: crate_name.to_string(),
             role: FileRole::Src,
-            is_crate_root: false,
         }
     }
 

@@ -3,10 +3,10 @@
 //! The analyzer needs exactly one guarantee from its front end: a
 //! token stream in which **source text inside comments, string
 //! literals, raw strings, and char literals can never be mistaken for
-//! code**. Everything the rule engine matches on — `unwrap`, `unsafe`,
-//! `HashMap`, `#[cfg(test)]` — is an identifier or punctuation token,
-//! so a pattern name appearing in a doc comment or a format string is
-//! invisible to the rules by construction.
+//! code**. Everything the rules and the parser match on — `Instant`,
+//! `HashMap`, `Mutex`, `#[cfg(test)]` — is an identifier or punctuation
+//! token, so a pattern name appearing in a doc comment or a format
+//! string is invisible to the rules by construction.
 //!
 //! The lexer is deliberately not a full Rust grammar: it has no notion
 //! of expressions or items, just enough lexical structure (nested

@@ -1,6 +1,6 @@
 //! # tagwatch-lint
 //!
-//! The workspace's determinism-and-soundness analyzer.
+//! The workspace's call-graph analyzer for determinism.
 //!
 //! The whole reproduction rests on a promise the type system cannot
 //! state: that the server can **byte-exactly** precompute what honest
@@ -11,11 +11,15 @@
 //! serializer — and the golden digests CI pins start flaking for
 //! reasons no test names.
 //!
-//! v1 made those rules machine-checked lexically. v2 grows the
-//! analyzer into a whole-workspace flow analysis — the lexical rules
-//! cannot see that a "clean" helper transitively calls a wall clock
-//! before its result reaches an FNV digest — while keeping the same
-//! deliberately small, dependency-free footprint:
+//! rustc and clippy check every rule that one token decides: no
+//! `unsafe`, no panics, docs, and no nondeterminism source or disk
+//! access in library crates (`docs/LINTING.md` maps each to its lint).
+//! This crate checks what the compiler cannot express — that a
+//! "clean" helper never transitively calls a wall clock before its
+//! result reaches an FNV digest, that threads stay in their two
+//! modules, that no pub item lives only for tests, and that JSON
+//! exporters format floats one way — with a deliberately small,
+//! dependency-free footprint:
 //!
 //! * [`lexer`] — a hand-rolled, comment/string/raw-string-aware Rust
 //!   lexer (no `syn`; the build is offline and the analyzer must stay
@@ -27,10 +31,8 @@
 //!   graph, exported as the deterministic `--graph-out` artifact.
 //! * [`taint`] — the reachability engine behind `d4-digest-taint`,
 //!   `c1-pool-discipline`, and `u1-dead-pub`.
-//! * [`rules`] — the lexical rule catalog (`d1-nondeterminism`,
-//!   `d2-float-format`, `s1-unsafe`, `s2-panic`, `s3-doc`, `s4-io`)
-//!   plus the `lint:allow(rule): reason` escape hatch and the stale-
-//!   allow audit.
+//! * [`rules`] — the one lexical rule, `d2-float-format`, plus the
+//!   `lint:allow(rule): reason` escape hatch and the stale-allow audit.
 //! * [`workspace`] — convention-based file discovery (vendored code
 //!   and rule fixtures excluded), sorted for determinism.
 //! * [`report`] — rustc-style diagnostics (taint chains rendered as
@@ -62,8 +64,8 @@ pub use rules::{analyze_source, AllowRecord, FileMeta, FileRole, Finding, RuleId
 pub use workspace::{discover, find_root, SourceFile};
 
 /// Analyzes every non-vendored source file under `root`: the lexical
-/// pass, the call-graph taint pass, one combined suppression step, and
-/// the stale-allow audit. Also returns the resolved call graph for the
+/// pass (d2 and the escapes), the call-graph taint pass, one combined
+/// suppression step, and the stale-allow audit. Also returns the resolved call graph for the
 /// `--graph-out` artifact.
 ///
 /// # Errors

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 use tagwatch_lint::{analyze_workspace_full, find_root, RuleId};
 
 const USAGE: &str = "\
-tagwatch-lint: workspace determinism-and-soundness analyzer
+tagwatch-lint: workspace call-graph analyzer for determinism
 
 USAGE:
     tagwatch-lint [allows] [OPTIONS]

@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::TokenKind;
 use crate::rules::Code;
 
 /// What kind of non-function item a [`TypeItem`] declares.
@@ -150,9 +150,6 @@ pub struct ParsedFile {
     /// statements, item-declaration name tokens, and the type names
     /// of `impl` headers.
     pub refs: BTreeMap<String, u32>,
-    /// `static mut` declarations (name + line) — banned outright by
-    /// `c1-pool-discipline`.
-    pub statics_mut: Vec<SourceHit>,
 }
 
 /// Derives the module path of a file from its workspace-relative path:
@@ -213,7 +210,7 @@ struct Parser<'a> {
 }
 
 /// Parses one file. `code` is the comment-free token view shared with
-/// the lexical rules; `test_ranges` the `#[cfg(test)]` regions.
+/// the lexical pass; `test_ranges` the `#[cfg(test)]` regions.
 #[must_use]
 pub(crate) fn parse_file(code: &Code<'_>, test_ranges: &[(usize, usize)], rel: &str) -> ParsedFile {
     let root = module_path_of(rel);
@@ -391,10 +388,6 @@ impl<'a> Parser<'a> {
                         || (kw == "static" && self.code.is_ident(k + 1, "mut")) =>
                 {
                     let name_at = if self.code.is_ident(k + 1, "mut") {
-                        self.out.statics_mut.push(SourceHit {
-                            what: self.code.text(k + 2).to_string(),
-                            line: self.code.tok(k).line,
-                        });
                         k + 2
                     } else {
                         k + 1
@@ -630,14 +623,6 @@ impl<'a> Parser<'a> {
                 });
             }
 
-            // `static mut` declared inside a fn body is still banned.
-            if text == "static" && self.code.is_ident(k + 1, "mut") {
-                self.out.statics_mut.push(SourceHit {
-                    what: self.code.text(k + 2).to_string(),
-                    line,
-                });
-            }
-
             // -- concurrency primitives ------------------------------
             if CONCURRENCY_IDENTS.contains(&text) || text.starts_with("Atomic") {
                 item.concurrency.push(SourceHit {
@@ -840,11 +825,6 @@ pub fn parse_source(src: &str, rel: &str) -> ParsedFile {
     let ranges = crate::rules::compute_test_ranges(&code);
     parse_file(&code, &ranges, rel)
 }
-
-/// Re-exported for the parser: tokens of one file. (Kept here so the
-/// module is self-contained in rustdoc.)
-#[allow(unused)]
-type _TokenAlias = Token;
 
 #[cfg(test)]
 mod tests {

@@ -153,18 +153,18 @@ mod tests {
     fn sample() -> Analysis {
         Analysis {
             findings: vec![Finding {
-                rule: RuleId::S2Panic,
-                file: "crates/core/src/x.rs".to_string(),
+                rule: RuleId::D2FloatFormat,
+                file: "crates/obs/src/x.rs".to_string(),
                 line: 3,
                 col: 7,
-                message: "`.unwrap(…)` in library code".to_string(),
+                message: "float precision formatting inside a JSON-building string".to_string(),
                 chain: Vec::new(),
             }],
             allows: vec![AllowRecord {
-                rule: RuleId::D1Nondeterminism,
+                rule: RuleId::U1DeadPub,
                 file: "crates/sim/src/y.rs".to_string(),
                 line: 10,
-                reason: "lookup-only map".to_string(),
+                reason: "oracle: a property test compares against it".to_string(),
             }],
             files_scanned: 2,
         }
@@ -186,8 +186,8 @@ mod tests {
     #[test]
     fn human_diagnostics_are_rustc_shaped() {
         let h = sample().human();
-        assert!(h.contains("error[s2-panic]:"));
-        assert!(h.contains("--> crates/core/src/x.rs:3:7"));
+        assert!(h.contains("error[d2-float-format]:"));
+        assert!(h.contains("--> crates/obs/src/x.rs:3:7"));
     }
 
     #[test]

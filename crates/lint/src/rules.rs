@@ -1,10 +1,12 @@
-//! The rule engine: project-specific determinism and soundness rules
-//! evaluated over the token stream of one source file.
+//! The rule engine: the `lint:allow` escape hatch, the stale-allow
+//! audit's bookkeeping, and the one lexical rule the compiler cannot
+//! express, `d2-float-format`, evaluated over the token stream of one
+//! source file.
 //!
-//! Every rule is lexical by design — the analyzer runs offline with no
-//! `syn`, so rules match identifier/punctuation patterns that the
-//! workspace's own conventions make unambiguous (see
-//! `docs/LINTING.md` for the catalog and the known approximations).
+//! rustc and clippy enforce the rest of the per-token rules (unsafe
+//! code, panics, docs, nondeterminism sources, disk access); see
+//! `docs/LINTING.md` for where each one went. The call-graph rules
+//! live in [`crate::taint`].
 //!
 //! ## Scoped escape hatch
 //!
@@ -18,7 +20,8 @@
 //! line and on the line immediately below (so both trailing and
 //! line-above placement work). The reason is mandatory: an allow with
 //! no reason (or an unknown rule name) is itself reported under
-//! `allow-syntax` and suppresses nothing.
+//! `allow-syntax` and suppresses nothing. Compiler lints are waived
+//! with `#[expect(lint, reason = "…")]` instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,24 +30,13 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Identifier of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// D1: nondeterminism sources in digest/export-reachable crates.
-    D1Nondeterminism,
     /// D2: ad-hoc float formatting in JSON-building export strings.
     D2FloatFormat,
-    /// S1: `#![forbid(unsafe_code)]` on crate roots; no `unsafe` tokens.
-    S1Unsafe,
-    /// S2: no `unwrap`/`expect`/`panic!`/`todo!` in library crates.
-    S2Panic,
-    /// S3: public items in `core`/`protocols` carry doc comments.
-    S3Doc,
-    /// S4: filesystem access confined to `store/src/io.rs` and the
-    /// CLI/tooling layer.
-    S4Io,
     /// D4: no digest/export sink may transitively reach a
     /// nondeterminism source through the call graph.
     D4DigestTaint,
-    /// C1: concurrency hygiene — no `static mut`, primitives confined
-    /// to the designated pool modules, merge paths taint-clean.
+    /// C1: concurrency hygiene — primitives confined to the designated
+    /// pool modules, merge paths taint-clean.
     C1PoolDiscipline,
     /// U1: pub items that no non-test code references.
     U1DeadPub,
@@ -57,13 +49,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalog order.
-    pub const ALL: [RuleId; 11] = [
-        RuleId::D1Nondeterminism,
+    pub const ALL: [RuleId; 6] = [
         RuleId::D2FloatFormat,
-        RuleId::S1Unsafe,
-        RuleId::S2Panic,
-        RuleId::S3Doc,
-        RuleId::S4Io,
         RuleId::D4DigestTaint,
         RuleId::C1PoolDiscipline,
         RuleId::U1DeadPub,
@@ -75,12 +62,7 @@ impl RuleId {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::D1Nondeterminism => "d1-nondeterminism",
             RuleId::D2FloatFormat => "d2-float-format",
-            RuleId::S1Unsafe => "s1-unsafe",
-            RuleId::S2Panic => "s2-panic",
-            RuleId::S3Doc => "s3-doc",
-            RuleId::S4Io => "s4-io",
             RuleId::D4DigestTaint => "d4-digest-taint",
             RuleId::C1PoolDiscipline => "c1-pool-discipline",
             RuleId::U1DeadPub => "u1-dead-pub",
@@ -99,25 +81,9 @@ impl RuleId {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::D1Nondeterminism => {
-                "no nondeterminism sources (Instant::now, SystemTime, thread_rng, \
-                 HashMap/HashSet, thread::current) in digest/export-reachable crates"
-            }
             RuleId::D2FloatFormat => {
                 "float precision formatting inside JSON-building strings must go \
                  through tagwatch_obs::json_f64"
-            }
-            RuleId::S1Unsafe => {
-                "crate roots carry #![forbid(unsafe_code)]; no `unsafe` token anywhere"
-            }
-            RuleId::S2Panic => {
-                "no unwrap()/expect()/panic!/todo! in library crates outside #[cfg(test)]"
-            }
-            RuleId::S3Doc => "public items in core/protocols carry doc comments",
-            RuleId::S4Io => {
-                "no std::fs / disk I/O in library crates: persistence goes through \
-                 tagwatch_store::io (the workspace's only filesystem touchpoint) or \
-                 the CLI layer"
             }
             RuleId::D4DigestTaint => {
                 "no function reachable from a digest/export sink (FNV digesting, JSON \
@@ -125,9 +91,9 @@ impl RuleId {
                  exporters) may transitively reach a nondeterminism source"
             }
             RuleId::C1PoolDiscipline => {
-                "concurrency hygiene: no `static mut`; Mutex/atomics/mpsc/spawn confined \
-                 to analytics::pool and analytics::parallel; merge paths reachable from \
-                 PooledEngine taint-clean"
+                "concurrency hygiene: Mutex/atomics/mpsc/spawn confined to analytics::pool \
+                 and analytics::parallel; merge paths reachable from PooledEngine \
+                 taint-clean"
             }
             RuleId::U1DeadPub => {
                 "pub items that no library, bin, example, or benchmark code references are \
@@ -146,45 +112,15 @@ impl RuleId {
     #[must_use]
     pub fn explain(self) -> &'static str {
         match self {
-            RuleId::D1Nondeterminism => {
-                "The monitoring engine's contract is byte-exact replay: every digested \
-                 artifact is a pure function of (seed, policy, tag set). Wall clocks, \
-                 unseeded RNGs, scheduler identity, and unordered hash iteration each \
-                 break that pledge invisibly. This rule flags the source tokens \
-                 lexically in library crates. Fix by threading the deterministic \
-                 TimingModel / seeded SplitMix64, or switching to BTreeMap/BTreeSet. \
-                 If a HashMap is lookup-only (never iterated into output), waive with \
-                 lint:allow(d1-nondeterminism) stating exactly that."
-            }
             RuleId::D2FloatFormat => {
                 "Two exporters formatting the same f64 with different precision forks \
                  golden digests. Every float that lands in JSON must go through \
                  tagwatch_obs::json_f64, which renders a canonical shortest-roundtrip \
-                 form. The rule flags float precision specs ({:.3}, {:e}) inside \
-                 JSON-building format strings (strings containing an escaped quote)."
-            }
-            RuleId::S1Unsafe => {
-                "The workspace is 100% safe Rust: crate roots carry \
-                 #![forbid(unsafe_code)] and no file may contain an `unsafe` token. \
-                 There is no waiver — delete the unsafe block or move the operation \
-                 behind a safe abstraction."
-            }
-            RuleId::S2Panic => {
-                "Library crates return Results; panics are reserved for provably \
-                 unreachable states. .unwrap()/.expect()/panic!/todo! in library code \
-                 either becomes an error path or carries a lint:allow(s2-panic) whose \
-                 reason states the invariant making the branch impossible."
-            }
-            RuleId::S3Doc => {
-                "core and protocols are the paper-facing API: every pub item carries a \
-                 doc comment tying it to the concept it implements (TRP/ETRP/MTRP \
-                 rounds, Bloom seeds, false-positive math)."
-            }
-            RuleId::S4Io => {
-                "Byte-buffer-only library crates are what make crash/corruption fault \
-                 injection exact: tagwatch_store::io is the single filesystem \
-                 touchpoint, and the CLI layer owns user-facing paths. std::fs \
-                 anywhere else is a durability hole."
+                 form. The rule flags format specs that set a precision or an exponent \
+                 ({:.3}, {:8.3}, {v:+.3}, {:e}) inside JSON-building format strings \
+                 (strings containing an escaped quote); fill, alignment, sign, `#`, `0` \
+                 and width are parsed as std::fmt does, so a `.` fill ({:.<8}) is not a \
+                 precision."
             }
             RuleId::D4DigestTaint => {
                 "The v2 call-graph rule behind the headline guarantee. Sinks are \
@@ -206,11 +142,11 @@ impl RuleId {
                 "Determinism at any thread count holds because concurrency is caged: \
                  worker pools live in analytics::pool (persistent workers, sharded \
                  min-merge) and analytics::parallel (scoped fan-out), and nowhere \
-                 else. The rule bans `static mut` outright (workspace-wide, tests \
-                 included), flags Mutex/RwLock/Condvar/mpsc/Atomic*/thread::spawn/\
-                 thread::scope tokens in any other library module, and walks the \
-                 call graph from PooledEngine's methods to prove the merge path \
-                 never reaches a nondeterminism source."
+                 else. The rule flags Mutex/RwLock/Condvar/mpsc/Atomic*/thread::spawn/\
+                 thread::scope tokens in any other library module, and walks the call \
+                 graph from PooledEngine's methods to prove the merge path never \
+                 reaches a nondeterminism source. (A `static mut` needs `unsafe` to \
+                 touch, which `-F unsafe_code` forbids everywhere.)"
             }
             RuleId::U1DeadPub => {
                 "A pub item that only tests reach is API surface the program does not \
@@ -227,8 +163,12 @@ impl RuleId {
             }
             RuleId::AllowSyntax => {
                 "lint:allow(rule): reason is a scoped, auditable waiver. An allow \
-                 with an unknown rule name or no reason suppresses nothing and is \
-                 itself a finding, so escapes can't decay into folklore."
+                 with an unknown rule name (including a retired one such as \
+                 s2-panic, whose check moved to clippy) or no reason suppresses \
+                 nothing and is itself a finding, so escapes can't decay into \
+                 folklore. Compiler lints are waived with #[expect(lint, reason = \
+                 \"…\")], which clippy::allow_attributes_without_reason checks the \
+                 same way."
             }
             RuleId::AllowStale => {
                 "An allow whose rule no longer fires on its two covered lines is a \
@@ -290,13 +230,13 @@ pub struct AllowRecord {
 /// What part of a crate a file belongs to (drives rule scoping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileRole {
-    /// `src/**` of a workspace crate: full rule set.
+    /// `src/**` of a workspace crate: every rule.
     Src,
-    /// Integration tests, benches, fixtures: only the unsafe-token scan
-    /// and allow-syntax checks.
+    /// Integration tests, benches, fixtures: allow-syntax only, and
+    /// never a caller for `u1-dead-pub`.
     Test,
     /// `examples/**` and the benchmark package's `benchmark/src/**`:
-    /// same reduced set as tests.
+    /// allow-syntax only, and callers for `u1-dead-pub`.
     Example,
 }
 
@@ -308,34 +248,10 @@ pub struct FileMeta {
     pub crate_name: String,
     /// Which target tree the file sits in.
     pub role: FileRole,
-    /// Whether this file is a compilation root (`src/lib.rs`,
-    /// `src/main.rs`, `src/bin/*.rs`) and must carry the forbid attr.
-    pub is_crate_root: bool,
 }
-
-/// Crates whose sources feed digested or exported artifacts: the
-/// round engines and everything between them and the byte-stable
-/// reports. D1 and S2 both scope to this set.
-const LIBRARY_CRATES: [&str; 8] = [
-    "core",
-    "protocols",
-    "sim",
-    "analytics",
-    "attack",
-    "obs",
-    "store",
-    "tagwatch",
-];
 
 /// Crates that build JSON export artifacts by hand (D2 scope).
 const EXPORT_CRATES: [&str; 5] = ["obs", "analytics", "bench", "cli", "tagwatch"];
-
-/// Crates whose public API surface must be doc-commented (S3 scope).
-const DOC_CRATES: [&str; 2] = ["core", "protocols"];
-
-fn in_library_crate(meta: &FileMeta) -> bool {
-    meta.role == FileRole::Src && LIBRARY_CRATES.contains(&meta.crate_name.as_str())
-}
 
 /// Code-token view: the full token list with comments filtered out,
 /// so adjacency patterns (`.` `unwrap` `(`) match across interleaved
@@ -376,12 +292,6 @@ impl<'a> Code<'a> {
     pub(crate) fn is_ident(&self, k: usize, name: &str) -> bool {
         self.kind(k) == Some(TokenKind::Ident) && self.text(k) == name
     }
-
-    /// Full-token index of code token `k` (for backward walks that
-    /// need to see comments).
-    pub(crate) fn full_index(&self, k: usize) -> usize {
-        self.idx[k]
-    }
 }
 
 /// Pre-suppression result of the lexical pass over one file: the raw
@@ -404,7 +314,7 @@ pub struct RawAnalysis {
 /// Analyzes one file's source. Returns the findings (already
 /// allow-filtered) and the valid allow escapes encountered.
 #[must_use]
-// lint:allow(u1-dead-pub): reader: lint/tests/fixture_rules.rs::raw_strings_are_inert runs the lexical rules on one fixture with it
+// lint:allow(u1-dead-pub): reader: lint/tests/fixture_rules.rs::raw_strings_are_inert runs the lexical pass on one fixture with it
 pub fn analyze_source(
     meta: &FileMeta,
     rel_path: &str,
@@ -443,203 +353,14 @@ pub(crate) fn sort_findings(findings: &mut [Finding]) {
 #[must_use]
 pub fn analyze_source_raw(meta: &FileMeta, rel_path: &str, src: &str) -> RawAnalysis {
     let toks = lex(src);
-    let code = Code::new(src, &toks);
-    let test_ranges = compute_test_ranges(&code);
-    let in_test = |k: usize| test_ranges.iter().any(|&(lo, hi)| lo <= k && k <= hi);
-
-    // ---- allow escapes (all roles) -------------------------------
-    let (allow_lines, allow_records, mut findings) = parse_allows(rel_path, src, &toks);
-
-    // ---- S1: crate roots must forbid unsafe_code -----------------
-    if meta.is_crate_root && !has_forbid_unsafe(&code) {
-        findings.push(Finding {
-            rule: RuleId::S1Unsafe,
-            file: rel_path.to_string(),
-            line: 1,
-            col: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            chain: Vec::new(),
-        });
+    let (allow_lines, allows, mut findings) = parse_allows(rel_path, src, &toks);
+    if meta.role == FileRole::Src && EXPORT_CRATES.contains(&meta.crate_name.as_str()) {
+        check_d2_float_format(&Code::new(src, &toks), rel_path, &mut findings);
     }
-
-    let mut push = |rule: RuleId, tok: &Token, message: String| {
-        findings.push(Finding {
-            rule,
-            file: rel_path.to_string(),
-            line: tok.line,
-            col: tok.col,
-            message,
-            chain: Vec::new(),
-        });
-    };
-
-    // ---- S1: unsafe-token scan (all roles) -----------------------
-    for k in 0..code.len() {
-        if code.is_ident(k, "unsafe") {
-            push(
-                RuleId::S1Unsafe,
-                code.tok(k),
-                "`unsafe` token: the workspace is 100% safe Rust by policy".to_string(),
-            );
-        }
-    }
-
-    // The remaining rules only apply to crate sources.
-    if meta.role == FileRole::Src {
-        if in_library_crate(meta) {
-            check_s2_panics(&code, &mut push, &in_test);
-            check_d1_nondeterminism(&code, &mut push, &in_test);
-            // `store/src/io.rs` is the designated filesystem touchpoint;
-            // everywhere else in library code, disk access is a leak.
-            if !(meta.crate_name == "store" && rel_path.ends_with("src/io.rs")) {
-                check_s4_io(&code, &mut push, &in_test);
-            }
-        }
-        if EXPORT_CRATES.contains(&meta.crate_name.as_str()) {
-            check_d2_float_format(&code, &mut push, &in_test);
-        }
-        if DOC_CRATES.contains(&meta.crate_name.as_str()) {
-            check_s3_docs(&code, &mut push, &in_test);
-        }
-    }
-
     RawAnalysis {
         findings,
-        allows: allow_records,
+        allows,
         allow_lines,
-    }
-}
-
-/// S2: panic-family calls in library code.
-fn check_s2_panics<F>(code: &Code<'_>, push: &mut F, in_test: &dyn Fn(usize) -> bool)
-where
-    F: FnMut(RuleId, &Token, String),
-{
-    for k in 0..code.len() {
-        if in_test(k) {
-            continue;
-        }
-        // `.unwrap(` / `.expect(` — method-call position only, so
-        // `unwrap_or`, `unwrap_or_else`, field names etc. don't match.
-        for name in ["unwrap", "expect"] {
-            if code.is_ident(k, name)
-                && k > 0
-                && code.is_punct(k - 1, '.')
-                && code.is_punct(k + 1, '(')
-            {
-                push(
-                    RuleId::S2Panic,
-                    code.tok(k),
-                    format!(
-                        "`.{name}(…)` in library code: return a Result, make the state \
-                         infallible by construction, or lint:allow(s2-panic) with a proof"
-                    ),
-                );
-            }
-        }
-        for name in ["panic", "todo"] {
-            if code.is_ident(k, name) && code.is_punct(k + 1, '!') {
-                push(
-                    RuleId::S2Panic,
-                    code.tok(k),
-                    format!(
-                        "`{name}!` in library code: return an error instead, or \
-                         lint:allow(s2-panic) with a proof the branch is unreachable"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// S4: filesystem access outside the designated I/O module.
-///
-/// Matches the idioms the workspace actually uses for disk access:
-/// the `fs` path segment (`std::fs`, `fs::write`, `use std::fs`),
-/// `OpenOptions`, and `File::` calls. Keeping every other library
-/// module byte-buffer-only is what makes crash/corruption fault
-/// injection exact, so a new `std::fs` in, say, `analytics` is a
-/// durability hole, not a style nit.
-fn check_s4_io<F>(code: &Code<'_>, push: &mut F, in_test: &dyn Fn(usize) -> bool)
-where
-    F: FnMut(RuleId, &Token, String),
-{
-    let is_path_sep = |k: usize| code.is_punct(k, ':') && code.is_punct(k + 1, ':');
-    for k in 0..code.len() {
-        if in_test(k) {
-            continue;
-        }
-        let fs_segment = code.is_ident(k, "fs")
-            && (is_path_sep(k + 1)
-                || (k >= 3 && code.is_ident(k - 3, "std") && is_path_sep(k - 2)));
-        let file_call = code.is_ident(k, "File") && is_path_sep(k + 1);
-        if fs_segment || file_call || code.is_ident(k, "OpenOptions") {
-            push(
-                RuleId::S4Io,
-                code.tok(k),
-                "filesystem access in library code: route persistence through \
-                 `tagwatch_store::io` (the only module allowed to touch disk) or move \
-                 this to the CLI layer"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// D1: nondeterminism sources in digest/export-reachable crates.
-fn check_d1_nondeterminism<F>(code: &Code<'_>, push: &mut F, in_test: &dyn Fn(usize) -> bool)
-where
-    F: FnMut(RuleId, &Token, String),
-{
-    let is_path_sep = |k: usize| code.is_punct(k, ':') && code.is_punct(k + 1, ':');
-    for k in 0..code.len() {
-        if in_test(k) {
-            continue;
-        }
-        if code.is_ident(k, "Instant") && is_path_sep(k + 1) && code.is_ident(k + 3, "now") {
-            push(
-                RuleId::D1Nondeterminism,
-                code.tok(k),
-                "`Instant::now()` is wall-clock nondeterminism; thread timing through \
-                 the deterministic TimingModel or keep it out of digested paths"
-                    .to_string(),
-            );
-        }
-        if code.is_ident(k, "SystemTime") {
-            push(
-                RuleId::D1Nondeterminism,
-                code.tok(k),
-                "`SystemTime` is wall-clock nondeterminism in a deterministic path".to_string(),
-            );
-        }
-        if code.is_ident(k, "thread_rng") {
-            push(
-                RuleId::D1Nondeterminism,
-                code.tok(k),
-                "`thread_rng()` is unseeded randomness; take an explicit seeded RNG".to_string(),
-            );
-        }
-        if code.is_ident(k, "thread") && is_path_sep(k + 1) && code.is_ident(k + 3, "current") {
-            push(
-                RuleId::D1Nondeterminism,
-                code.tok(k),
-                "`thread::current()` leaks scheduler identity into a deterministic path"
-                    .to_string(),
-            );
-        }
-        for name in ["HashMap", "HashSet"] {
-            if code.is_ident(k, name) {
-                push(
-                    RuleId::D1Nondeterminism,
-                    code.tok(k),
-                    format!(
-                        "`{name}` iteration order is unspecified: use BTreeMap/BTreeSet \
-                         or sort before iterating; if lookup-only, \
-                         lint:allow(d1-nondeterminism) with that justification"
-                    ),
-                );
-            }
-        }
     }
 }
 
@@ -647,15 +368,12 @@ where
 ///
 /// A string literal is "JSON-building" when its body contains a
 /// literal double quote (the workspace writes JSON keys as `\"key\":`
-/// in hand-rolled exporters); a float specifier is `{:.`, `{:e`, or
-/// `{:E`. Human-readable `Display` strings carry no quotes and are
-/// not flagged.
-fn check_d2_float_format<F>(code: &Code<'_>, push: &mut F, in_test: &dyn Fn(usize) -> bool)
-where
-    F: FnMut(RuleId, &Token, String),
-{
+/// in hand-rolled exporters). Human-readable `Display` strings carry no
+/// quotes and are not flagged; neither is test code.
+fn check_d2_float_format(code: &Code<'_>, rel_path: &str, findings: &mut Vec<Finding>) {
+    let test_ranges = compute_test_ranges(code);
     for k in 0..code.len() {
-        if in_test(k) {
+        if test_ranges.iter().any(|&(lo, hi)| lo <= k && k <= hi) {
             continue;
         }
         let (quote_marker, body): (&str, &str) = match code.kind(k) {
@@ -670,32 +388,38 @@ where
             }
             _ => continue,
         };
-        let has_float_spec = has_float_precision_spec(body);
-        let is_json = body.contains(quote_marker);
-        if has_float_spec && is_json {
-            push(
+        if has_float_precision_spec(body) && body.contains(quote_marker) {
+            let tok = code.tok(k);
+            findings.push(Finding::new(
                 RuleId::D2FloatFormat,
-                code.tok(k),
+                rel_path,
+                tok.line,
+                tok.col,
                 "float precision formatting inside a JSON-building string: route the \
                  value through tagwatch_obs::json_f64 so every exporter renders floats \
                  identically"
                     .to_string(),
-            );
+            ));
         }
     }
 }
 
-/// Whether a format-string body contains a float precision/exponent
-/// spec — positional (`{:.3}`, `{:e}`) or named (`{rate:.3}`,
-/// `{ticks_per_sec:e}`).
+/// Whether a format-string body holds a placeholder — positional
+/// (`{:.3}`, `{0:e}`) or named (`{rate:.3}`) — whose spec sets a
+/// precision or an exponent type. `{{` is a literal brace.
 fn has_float_precision_spec(body: &str) -> bool {
-    for (i, _) in body.match_indices('{') {
-        let rest = &body[i + 1..];
-        // Skip the optional argument name/position, then require `:.`
-        // (precision) or `:e`/`:E` (exponent) before the closing brace.
-        let after_arg = rest.trim_start_matches(|c: char| c.is_alphanumeric() || c == '_');
-        if let Some(spec) = after_arg.strip_prefix(':') {
-            if spec.starts_with('.') || spec.starts_with('e') || spec.starts_with('E') {
+    let mut rest = body;
+    while let Some(open) = rest.find('{') {
+        rest = &rest[open + 1..];
+        if let Some(after) = rest.strip_prefix('{') {
+            rest = after;
+            continue;
+        }
+        let arg_end = rest
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if let Some(spec) = rest[arg_end..].strip_prefix(':') {
+            if is_float_spec(spec.split('}').next().unwrap_or("")) {
                 return true;
             }
         }
@@ -703,114 +427,31 @@ fn has_float_precision_spec(body: &str) -> bool {
     false
 }
 
-/// S3: `pub` items must carry a doc comment (or `#[doc…]` attribute).
-fn check_s3_docs<F>(code: &Code<'_>, push: &mut F, in_test: &dyn Fn(usize) -> bool)
-where
-    F: FnMut(RuleId, &Token, String),
-{
-    const ITEM_KEYWORDS: [&str; 9] = [
-        "fn", "struct", "enum", "trait", "mod", "type", "const", "static", "union",
-    ];
-    for k in 0..code.len() {
-        if in_test(k) || !code.is_ident(k, "pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        let item_kw = if code.is_punct(k + 1, '(') {
-            continue;
-        } else {
-            k + 1
-        };
-        let Some(TokenKind::Ident) = code.kind(item_kw) else {
-            continue;
-        };
-        let kw = code.text(item_kw);
-        if !ITEM_KEYWORDS.contains(&kw) {
-            continue; // `pub use` re-exports and struct fields
-        }
-        // `pub mod name;` — the docs live as `//!` inside the module
-        // file, which this per-file pass cannot see; only inline
-        // `pub mod name { … }` bodies are checked here.
-        if kw == "mod" && code.is_punct(item_kw + 2, ';') {
-            continue;
-        }
-        if !has_preceding_doc(code, k) {
-            let name = code
-                .kind(item_kw + 1)
-                .filter(|&kind| kind == TokenKind::Ident)
-                .map_or(String::new(), |_| format!(" `{}`", code.text(item_kw + 1)));
-            push(
-                RuleId::S3Doc,
-                code.tok(k),
-                format!("public {kw}{name} has no doc comment"),
-            );
-        }
-    }
-}
-
-/// Walks backwards from the code token at code-index `k` over
-/// attributes and plain comments, looking for a doc comment or a
-/// `#[doc…]`-carrying attribute.
-fn has_preceding_doc(code: &Code<'_>, k: usize) -> bool {
-    let toks = code.toks;
-    let mut j = code.full_index(k);
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        if t.is_comment() {
-            if t.is_doc_comment(code.src) {
-                return true;
-            }
-            continue; // plain comment between docs/attrs and the item
-        }
-        if t.kind == TokenKind::Punct && t.text(code.src) == "]" {
-            // Scan back to the matching `[`, watching for `doc` inside.
-            let mut depth = 1;
-            let mut saw_doc = false;
-            while j > 0 && depth > 0 {
-                j -= 1;
-                let u = &toks[j];
-                if u.is_comment() {
-                    continue;
-                }
-                match u.text(code.src) {
-                    "]" if u.kind == TokenKind::Punct => depth += 1,
-                    "[" if u.kind == TokenKind::Punct => depth -= 1,
-                    "doc" if u.kind == TokenKind::Ident => saw_doc = true,
-                    _ => {}
-                }
-            }
-            if saw_doc {
-                return true;
-            }
-            // Expect `#` (outer attr) before the `[`; an inner `#![…]`
-            // belongs to the enclosing module, so stop there.
-            if j > 0 && toks[j - 1].kind == TokenKind::Punct && toks[j - 1].text(code.src) == "#" {
-                j -= 1;
-                continue;
-            }
-            if j > 1 && toks[j - 1].text(code.src) == "!" && toks[j - 2].text(code.src) == "#" {
-                return false;
-            }
-            return false;
-        }
-        return false; // any other token: the item has no doc
-    }
-    false
-}
-
-/// Finds the `#![forbid(unsafe_code)]` inner attribute.
-fn has_forbid_unsafe(code: &Code<'_>) -> bool {
-    (0..code.len()).any(|k| {
-        code.is_punct(k, '#')
-            && code.is_punct(k + 1, '!')
-            && code.is_punct(k + 2, '[')
-            && code.is_ident(k + 3, "forbid")
-            && code.is_punct(k + 4, '(')
-            && code.is_ident(k + 5, "unsafe_code")
-            && code.is_punct(k + 6, ')')
-            && code.is_punct(k + 7, ']')
-    })
+/// Whether a format spec (the text between `:` and `}`) sets a
+/// precision or an `e`/`E` type, reading the `std::fmt` grammar
+/// `[[fill]align][sign]['#']['0'][width]['.' precision][type]`. A fill
+/// is any one character before an alignment, so `{:.<8}` pads with
+/// dots and has no precision.
+fn is_float_spec(spec: &str) -> bool {
+    let is_align = |c: char| matches!(c, '<' | '^' | '>');
+    let mut chars = spec.chars();
+    let mut s = match (chars.next(), chars.next()) {
+        (Some(fill), Some(align)) if is_align(align) => &spec[fill.len_utf8() + 1..],
+        (Some(align), _) if is_align(align) => &spec[1..],
+        _ => spec,
+    };
+    s = s.strip_prefix(['+', '-']).unwrap_or(s);
+    s = s.strip_prefix('#').unwrap_or(s);
+    s = s.strip_prefix('0').unwrap_or(s);
+    // Width: an integer, or a `name$` / `index$` parameter.
+    let count_end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    s = match s[count_end..].strip_prefix('$') {
+        Some(after) => after,
+        None => s.trim_start_matches(|c: char| c.is_ascii_digit()),
+    };
+    s.starts_with('.') || s == "e" || s == "E"
 }
 
 /// Computes code-index ranges covered by `#[cfg(test)]` / `#[test]`
@@ -932,26 +573,24 @@ fn parse_allows(
             search_from = at + MARKER.len();
 
             let Some(close) = after.find(')') else {
-                findings.push(Finding {
-                    rule: RuleId::AllowSyntax,
-                    file: rel_path.to_string(),
+                findings.push(Finding::new(
+                    RuleId::AllowSyntax,
+                    rel_path,
                     line,
-                    col: t.col,
-                    message: "unterminated lint:allow( escape".to_string(),
-                    chain: Vec::new(),
-                });
+                    t.col,
+                    "unterminated lint:allow( escape".to_string(),
+                ));
                 continue;
             };
             let rule_name = after[..close].trim();
             let Some(rule) = RuleId::from_name(rule_name) else {
-                findings.push(Finding {
-                    rule: RuleId::AllowSyntax,
-                    file: rel_path.to_string(),
+                findings.push(Finding::new(
+                    RuleId::AllowSyntax,
+                    rel_path,
                     line,
-                    col: t.col,
-                    message: format!("lint:allow names unknown rule `{rule_name}`"),
-                    chain: Vec::new(),
-                });
+                    t.col,
+                    format!("lint:allow names unknown rule `{rule_name}`"),
+                ));
                 continue;
             };
             // Mandatory `: reason` — to end of line (or comment).
@@ -960,18 +599,17 @@ fn parse_allows(
             let rest_line = rest_line.strip_suffix("*/").unwrap_or(rest_line);
             let reason = rest_line.strip_prefix(':').map(str::trim).unwrap_or("");
             if reason.is_empty() {
-                findings.push(Finding {
-                    rule: RuleId::AllowSyntax,
-                    file: rel_path.to_string(),
+                findings.push(Finding::new(
+                    RuleId::AllowSyntax,
+                    rel_path,
                     line,
-                    col: t.col,
-                    message: format!(
+                    t.col,
+                    format!(
                         "lint:allow({}) has no reason — write `lint:allow({}): why`",
                         rule.name(),
                         rule.name()
                     ),
-                    chain: Vec::new(),
-                });
+                ));
                 continue;
             }
             let entry = lines.entry(rule).or_default();
@@ -992,59 +630,58 @@ fn parse_allows(
 mod tests {
     use super::*;
 
-    fn lib_meta() -> FileMeta {
+    /// An export crate's source file: the d2 scope.
+    fn export_meta() -> FileMeta {
         FileMeta {
-            crate_name: "core".to_string(),
+            crate_name: "obs".to_string(),
             role: FileRole::Src,
-            is_crate_root: false,
         }
     }
 
     fn run(src: &str) -> Vec<Finding> {
-        analyze_source(&lib_meta(), "crates/core/src/x.rs", src).0
+        analyze_source(&export_meta(), "crates/obs/src/x.rs", src).0
     }
 
-    #[test]
-    fn s2_fires_on_unwrap_and_panic() {
-        let f = run("fn f(x: Option<u32>) -> u32 { let y = x.unwrap(); panic!(\"no\"); }");
-        let rules: Vec<&str> = f.iter().map(|f| f.rule.name()).collect();
-        assert_eq!(rules, ["s2-panic", "s2-panic"]);
+    fn rules(findings: &[Finding]) -> Vec<&'static str> {
+        findings.iter().map(|f| f.rule.name()).collect()
     }
 
-    #[test]
-    fn s2_ignores_unwrap_or_and_strings() {
-        let f = run("fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) } // unwrap() in comment\nconst S: &str = \".unwrap()\";");
-        assert!(f.is_empty(), "{f:?}");
-    }
+    const JSON_FLOAT: &str = "fn f(v: f64) -> String { format!(\"\\\"x\\\": {:.3}\", v) }";
 
     #[test]
-    fn cfg_test_modules_are_exempt_from_s2() {
-        let src = "fn ok() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
-        assert!(run(src).is_empty());
+    fn cfg_test_modules_are_exempt_from_d2() {
+        let src = format!(
+            "fn ok() {{}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    {JSON_FLOAT}\n}}\n"
+        );
+        assert!(run(&src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nfn f(x: Option<u32>) { x.unwrap(); }\n";
-        assert_eq!(run(src).len(), 1);
+        let src = format!("#[cfg(not(test))]\n{JSON_FLOAT}\n");
+        assert_eq!(rules(&run(&src)), ["d2-float-format"]);
     }
 
     #[test]
     fn allow_with_reason_suppresses_same_and_next_line() {
-        let src = "fn f(x: Option<u32>) {\n    // lint:allow(s2-panic): provably Some, inserted above\n    x.unwrap();\n}\n";
-        let (f, allows) = analyze_source(&lib_meta(), "x.rs", src);
+        let src = format!(
+            "// lint:allow(d2-float-format): a fixed-width column that no digest reads\n{JSON_FLOAT}\n"
+        );
+        let (f, allows) = analyze_source(&export_meta(), "x.rs", &src);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].reason, "provably Some, inserted above");
+        assert_eq!(
+            allows[0].reason,
+            "a fixed-width column that no digest reads"
+        );
     }
 
     #[test]
     fn allow_without_reason_reports_and_does_not_suppress() {
-        let src = "fn f(x: Option<u32>) {\n    x.unwrap(); // lint:allow(s2-panic)\n}\n";
-        let f = run(src);
-        let rules: Vec<&str> = f.iter().map(|f| f.rule.name()).collect();
-        assert!(rules.contains(&"s2-panic"));
-        assert!(rules.contains(&"allow-syntax"));
+        let src = format!("{JSON_FLOAT} // lint:allow(d2-float-format)\n");
+        let mut got = rules(&run(&src));
+        got.sort_unstable();
+        assert_eq!(got, ["allow-syntax", "d2-float-format"]);
     }
 
     #[test]
@@ -1056,92 +693,32 @@ mod tests {
     }
 
     #[test]
-    fn d1_flags_hashmap_and_instant_now() {
-        let src = "use std::collections::HashMap;\nfn t() -> std::time::Instant { std::time::Instant::now() }\n";
-        let f = run(src);
-        let rules: Vec<&str> = f.iter().map(|f| f.rule.name()).collect();
-        assert_eq!(rules, ["d1-nondeterminism", "d1-nondeterminism"]);
-    }
-
-    #[test]
-    fn s1_flags_unsafe_everywhere_even_tests() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn f() { let p = 0u8; let _ = unsafe { p }; }\n}\n";
-        let f = run(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::S1Unsafe);
-    }
-
-    #[test]
-    fn s1_crate_root_requires_forbid() {
-        let meta = FileMeta {
-            crate_name: "core".to_string(),
-            role: FileRole::Src,
-            is_crate_root: true,
-        };
-        let (f, _) = analyze_source(&meta, "lib.rs", "pub fn x() {}\n");
-        assert!(f.iter().any(|f| f.message.contains("forbid(unsafe_code)")));
-        let (f, _) = analyze_source(
-            &meta,
-            "lib.rs",
-            "#![forbid(unsafe_code)]\n/// Doc.\npub fn x() {}\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn s3_requires_docs_on_pub_items() {
-        let src = "/// Documented.\npub fn a() {}\n\npub fn b() {}\n\n#[derive(Debug)]\n/// Above attrs also counts.\npub struct S;\n";
-        let f = run(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::S3Doc);
-        assert!(f[0].message.contains('b'));
-    }
-
-    #[test]
-    fn s3_skips_pub_use_pub_crate_and_fields() {
-        let src = "pub use std::fmt;\npub(crate) fn h() {}\n/// S.\npub struct S {\n    pub field: u32,\n}\n";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn s4_fires_on_fs_and_file_handles() {
-        let src = "use std::fs;\nfn f() { fs::write(\"x\", b\"y\").ok(); std::fs::File::create(\"x\").ok(); }\n";
-        let f = run(src);
-        let s4 = f.iter().filter(|f| f.rule == RuleId::S4Io).count();
-        assert_eq!(s4, 4, "use + fs::write + std::fs + File:: — {f:?}");
-    }
-
-    #[test]
-    fn s4_exempts_store_io_module_and_tests() {
-        let src = "use std::fs;\nfn f() { fs::write(\"x\", b\"y\").ok(); }\n";
-        let store = FileMeta {
-            crate_name: "store".to_string(),
-            role: FileRole::Src,
-            is_crate_root: false,
-        };
-        let (f, _) = analyze_source(&store, "crates/store/src/io.rs", src);
-        assert!(f.is_empty(), "io.rs is the designated touchpoint: {f:?}");
-        let (f, _) = analyze_source(&store, "crates/store/src/wal.rs", src);
-        assert!(
-            f.iter().any(|f| f.rule == RuleId::S4Io),
-            "other store modules are in scope: {f:?}"
-        );
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { std::fs::write(\"x\", b\"y\").ok(); }\n}\n";
-        assert!(run(test_src).is_empty(), "test code may touch temp files");
+    fn a_retired_rule_is_unknown_and_suppresses_nothing() {
+        // s2-panic's check moved to clippy::expect_used; a leftover
+        // escape for it waives nothing, not even the line below it.
+        let src = format!("// lint:allow(s2-panic): provably Some, inserted above\n{JSON_FLOAT}\n");
+        let (f, allows) = analyze_source(&export_meta(), "x.rs", &src);
+        assert_eq!(rules(&f), ["allow-syntax", "d2-float-format"], "{f:?}");
+        assert!(f[0].message.contains("unknown rule `s2-panic`"), "{f:?}");
+        assert!(allows.is_empty());
     }
 
     #[test]
     fn d2_flags_float_specs_in_json_strings_only() {
-        let meta = FileMeta {
-            crate_name: "bench".to_string(),
-            role: FileRole::Src,
-            is_crate_root: false,
-        };
-        let json = "fn f(v: f64) -> String { format!(\"\\\"x\\\": {:.3}\", v) }";
-        let display = "fn f(v: f64) -> String { format!(\"mean {:.3}\", v) }";
-        assert_eq!(analyze_source(&meta, "x.rs", json).0.len(), 1);
-        assert!(analyze_source(&meta, "x.rs", display).0.is_empty());
+        let json =
+            |spec: &str| format!("fn f(v: f64) -> String {{ format!(\"\\\"x\\\": {spec}\", v) }}");
+        for spec in [
+            "{:.3}", "{:e}", "{:E}", "{v:.3}", "{0:.2}", "{:8.3}", "{:>10.2}", "{v:+.3}", "{:10e}",
+            "{:08.3}", "{:#.1}", "{:.*}", "{:w$.2}", "{:*^9.1}",
+        ] {
+            assert_eq!(rules(&run(&json(spec))), ["d2-float-format"], "{spec}");
+        }
+        for spec in [
+            "{}", "{:?}", "{:x}", "{:#x}", "{:>10}", "{:.<8}", "{:w$}", "{{:.3}}", "{:5}",
+        ] {
+            assert!(run(&json(spec)).is_empty(), "{spec}");
+        }
+        // A Display string (no quote) may format floats freely.
+        assert!(run("fn f(v: f64) -> String { format!(\"mean {:.3}\", v) }").is_empty());
     }
 }

@@ -9,11 +9,11 @@
 //!   containing a nondeterminism *source* token (wall clock, unseeded
 //!   RNG, scheduler identity, env reads, unordered hash iteration) is
 //!   a violation, reported at the sink with the full call chain.
-//! * **`c1-pool-discipline`** — `static mut` is banned workspace-wide;
-//!   concurrency primitives (`Mutex`/`RwLock`/`Condvar`/`mpsc`/
-//!   `Atomic*`/`thread::spawn`/`thread::scope`) are confined to the
-//!   designated pool modules; and the merge path reachable from
-//!   `PooledEngine`'s methods must itself be taint-clean.
+//! * **`c1-pool-discipline`** — concurrency primitives (`Mutex`/
+//!   `RwLock`/`Condvar`/`mpsc`/`Atomic*`/`thread::spawn`/
+//!   `thread::scope`) are confined to the designated pool modules, and
+//!   the merge path reachable from `PooledEngine`'s methods must itself
+//!   be taint-clean.
 //! * **`u1-dead-pub`** — a `pub` item whose name no non-test code
 //!   references (outside its own declaration, `use` statements, and
 //!   `impl` headers) is dead API: a test is not a caller.
@@ -130,22 +130,9 @@ fn check_d4(graph: &CallGraph, findings: &mut Vec<Finding>) {
     }
 }
 
-/// c1-pool-discipline: static mut ban, primitive confinement,
-/// PooledEngine merge-path purity.
+/// c1-pool-discipline: primitive confinement, PooledEngine merge-path
+/// purity.
 fn check_c1(graph: &CallGraph, findings: &mut Vec<Finding>) {
-    for (file, name, line, col) in &graph.statics_mut {
-        findings.push(Finding {
-            rule: RuleId::C1PoolDiscipline,
-            file: file.clone(),
-            line: *line,
-            col: *col,
-            message: format!(
-                "`static mut {name}`: mutable globals are banned workspace-wide — \
-                 use the pool's channel topology or a local"
-            ),
-            chain: Vec::new(),
-        });
-    }
     for f in &graph.fns {
         if f.in_test || f.concurrency.is_empty() {
             continue;
@@ -249,7 +236,6 @@ mod tests {
                     FileMeta {
                         crate_name: (*crate_name).to_string(),
                         role: FileRole::Src,
-                        is_crate_root: false,
                     },
                     parse_source(src, rel),
                 )
@@ -306,17 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn c1_flags_static_mut_and_stray_primitives() {
+    fn c1_flags_stray_primitives() {
         let g = build(&[(
             "crates/sim/src/bad.rs",
             "sim",
-            "static mut COUNTER: u64 = 0;\n\
-             pub fn fan_out() { let (_tx, _rx) = std::sync::mpsc::channel::<u32>(); }\n",
+            "pub fn fan_out() { let (_tx, _rx) = std::sync::mpsc::channel::<u32>(); }\n",
         )]);
         let findings = check(&g);
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == RuleId::C1PoolDiscipline && f.message.contains("static mut")));
         assert!(findings
             .iter()
             .any(|f| f.rule == RuleId::C1PoolDiscipline && f.message.contains("mpsc")));

@@ -8,9 +8,9 @@
 //! build output (`target/`), and this crate's own violation fixtures
 //! (`crates/lint/tests/fixtures/`) are never scanned. The benchmark
 //! (`benchmark/src`) is a package of its own outside the workspace, but
-//! it calls the crates' public API, so it is scanned as a caller with
-//! the reduced example rule set: without it, `u1-dead-pub` would report
-//! items that only the benchmark uses. `tests/` files are scanned too,
+//! it calls the crates' public API, so it is scanned as a caller like an
+//! example: without it, `u1-dead-pub` would report items that only the
+//! benchmark uses. `tests/` files are scanned too,
 //! but their references never make an item live.
 //!
 //! Directory entries are sorted at every level, so the file list —
@@ -176,19 +176,12 @@ fn collect_tree(
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let is_crate_root = role == FileRole::Src
-                && (rel.ends_with("/src/lib.rs")
-                    || rel.ends_with("/src/main.rs")
-                    || rel == "src/lib.rs"
-                    || rel == "src/main.rs"
-                    || rel.contains("/src/bin/"));
             out.push(SourceFile {
                 rel,
                 path,
                 meta: FileMeta {
                     crate_name: crate_name.to_string(),
                     role,
-                    is_crate_root,
                 },
             });
         }

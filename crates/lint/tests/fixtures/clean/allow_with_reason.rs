@@ -1,16 +1,19 @@
 //! Clean fixture: a scoped `lint:allow(rule): reason` escape with a
 //! non-empty reason suppresses the finding on its line and the next.
 
-use std::collections::HashMap; // lint:allow(d1-nondeterminism): lookup-only map, never iterated
-
-/// Index lookups do not depend on iteration order.
-// lint:allow(d1-nondeterminism): parameter type only; the body does point lookups
-pub fn lookup(map: &HashMap<u64, u64>, key: u64) -> Option<u64> {
-    map.get(&key).copied()
+/// A trailing escape covers its own line.
+pub fn trailing(rate: f64) -> String {
+    format!("{{\"rate\": {rate:.3}}}") // lint:allow(d2-float-format): a debug dump that no digest reads
 }
 
-/// An invariant-backed expect under a justified allow.
-pub fn first(xs: &[u64]) -> u64 {
-    // lint:allow(s2-panic): callers guarantee xs is non-empty
-    *xs.first().expect("non-empty by contract")
+/// An escape on the line above covers the line below.
+pub fn above(rate: f64) -> String {
+    // lint:allow(d2-float-format): rounded on purpose for a human-facing status line
+    format!("{{\"rate\": {rate:e}}}")
+}
+
+/// Block comments carry escapes too.
+pub fn block(rate: f64) -> String {
+    /* lint:allow(d2-float-format): the operator asked for three decimals */
+    format!("{{\"rate\": {rate:8.3}}}")
 }

@@ -1,4 +1,6 @@
-//! Violation fixture: nondeterminism sources reachable from exports.
+//! d1-nondeterminism violation fixture, now `clippy::disallowed_types`
+//! and `clippy::disallowed_methods`: nondeterminism sources reachable
+//! from exports.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -13,4 +15,9 @@ pub fn stamp() -> u128 {
 /// Unordered iteration poisons export ordering.
 pub fn sum(map: &HashMap<u64, u64>) -> u64 {
     map.values().sum()
+}
+
+/// Scheduler identity and the environment are inputs no seed fixes.
+pub fn ambient() -> String {
+    format!("{:?} {:?}", std::thread::current().id(), std::env::var("HOME"))
 }

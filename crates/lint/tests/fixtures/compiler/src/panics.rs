@@ -1,4 +1,5 @@
-//! Violation fixture: every `s2-panic` trigger in library position.
+//! s2-panic violation fixture, now `clippy::{unwrap_used, expect_used,
+//! panic, todo}`: every panic path in library position.
 
 /// Four distinct panic paths.
 pub fn all_the_panics(x: Option<u64>, y: Result<u64, ()>) -> u64 {

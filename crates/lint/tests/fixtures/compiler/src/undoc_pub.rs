@@ -1,4 +1,4 @@
-//! Violation fixture: public items in `core`/`protocols` must be
+//! s3-doc violation fixture, now `missing_docs`: public items must be
 //! doc-commented.
 
 /// A documented item separating the module docs from the offenders.

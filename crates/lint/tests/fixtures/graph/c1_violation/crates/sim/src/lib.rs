@@ -1,10 +1,8 @@
-//! Fixture: concurrency primitives escaping the designated pool
-//! modules, plus a `static mut` — both c1-pool-discipline violations.
+//! Fixture: a concurrency primitive escaping the designated pool
+//! modules — a c1-pool-discipline violation.
 #![forbid(unsafe_code)]
 
 use std::sync::Mutex;
-
-static mut ROUNDS: u64 = 0;
 
 /// Guards a counter with a lock that does not belong in this crate.
 pub fn guarded() -> u64 {

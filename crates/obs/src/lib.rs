@@ -30,6 +30,8 @@
 //! any layer can record into it without dependency cycles.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod event;
 pub mod export;

@@ -190,7 +190,7 @@ mod tests {
         assert_eq!(run.collected.len(), 200);
         assert!(!run.truncated);
         // Every collected ID is distinct and real.
-        let distinct: std::collections::HashSet<_> = run.collected.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = run.collected.iter().collect();
         assert_eq!(distinct.len(), 200);
     }
 

@@ -110,7 +110,7 @@ mod tests {
         let pop = TagPopulation::with_sequential_ids(300);
         let run = query_tree_inventory(&pop, &uniform());
         assert_eq!(run.collected.len(), 300);
-        let distinct: std::collections::HashSet<_> = run.collected.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = run.collected.iter().collect();
         assert_eq!(distinct.len(), 300);
     }
 

@@ -159,7 +159,7 @@ mod tests {
     fn collects_every_tag_exactly_once() {
         let tsa = run(400, 1);
         assert_eq!(tsa.collected.len(), 400);
-        let distinct: std::collections::HashSet<_> = tsa.collected.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = tsa.collected.iter().collect();
         assert_eq!(distinct.len(), 400);
         assert!(!tsa.truncated);
     }

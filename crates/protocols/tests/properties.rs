@@ -27,7 +27,7 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(run.collected.len(), n);
-        let distinct: std::collections::HashSet<_> = run.collected.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = run.collected.iter().collect();
         prop_assert_eq!(distinct.len(), n);
         prop_assert!(!run.truncated);
         // Cost sanity: at least one slot per tag, at most a generous
@@ -62,11 +62,11 @@ proptest! {
         let pop = TagPopulation::from_ids(
             ids.iter().map(|&raw| tagwatch_sim::TagId::new(raw)),
         );
-        // HashSet of u128 may collide after 96-bit masking; skip then.
+        // Distinct u128s may collide after 96-bit masking; skip then.
         let Ok(pop) = pop else { return Ok(()); };
         let run = query_tree_inventory(&pop, &TimingModel::uniform_slots());
-        let found: std::collections::HashSet<_> = run.collected.iter().copied().collect();
-        let expected: std::collections::HashSet<_> = pop.ids().into_iter().collect();
+        let found: std::collections::BTreeSet<_> = run.collected.iter().copied().collect();
+        let expected: std::collections::BTreeSet<_> = pop.ids().into_iter().collect();
         prop_assert_eq!(found, expected);
         // Structural identity of the binary trie walk.
         prop_assert_eq!(run.total_queries, 1 + 2 * run.collisions);

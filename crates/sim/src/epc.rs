@@ -258,7 +258,7 @@ mod tests {
     fn batch_produces_distinct_sequential_ids() {
         let ids = sgtin_batch(0x12_3456, 7, 1_000, 500).unwrap();
         assert_eq!(ids.len(), 500);
-        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = ids.iter().collect();
         assert_eq!(distinct.len(), 500);
         let first = Sgtin96::decode(ids[0]).unwrap();
         let last = Sgtin96::decode(ids[499]).unwrap();

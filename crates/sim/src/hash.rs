@@ -234,7 +234,7 @@ mod tests {
         // nonce before mixing. Also spot-check injectivity on a range —
         // the finalizer is bijective, so no two inputs may collide.
         assert_eq!(mix64(0), 0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for x in 0..10_000u64 {
             assert!(seen.insert(mix64(x)), "collision at {x}");
         }
@@ -253,7 +253,7 @@ mod tests {
         // The defence against replay: a fresh r re-randomizes every slot.
         let f = FrameSize::new(1024).unwrap();
         let id = TagId::new(99);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for r in 0..64u64 {
             distinct.insert(slot_for(id, Nonce::new(r), f));
         }

@@ -148,6 +148,10 @@ impl MarkovChannel {
                 downlink_loss_prob: 0.0,
             },
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "the preset matrix is a compile-time constant whose rows sum to 1; validity is pinned by unit tests"
+        )]
         MarkovChannel::new(
             vec![calm, degraded, storm],
             vec![
@@ -157,7 +161,6 @@ impl MarkovChannel {
             ],
             0,
         )
-        // lint:allow(s2-panic): the preset matrix is a compile-time constant whose rows sum to 1; validity is pinned by unit tests
         .expect("preset matrix is valid")
     }
 
@@ -182,7 +185,10 @@ impl MarkovChannel {
     /// A [`Channel`] for the current level.
     #[must_use]
     pub fn channel(&self) -> Channel {
-        // lint:allow(s2-panic): every level config was validated by MarkovChannel::new before being stored, and levels are immutable afterwards
+        #[expect(
+            clippy::expect_used,
+            reason = "every level config was validated by MarkovChannel::new before being stored, and levels are immutable afterwards"
+        )]
         Channel::with_config(self.level().config).expect("validated at construction")
     }
 

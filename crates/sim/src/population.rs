@@ -166,9 +166,12 @@ impl TagPopulation {
             });
         }
         let victims: Vec<TagId> = self.ids().choose_multiple(rng, count).copied().collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "victims were just drawn from self.ids(), so every removal hits a present tag"
+        )]
         Ok(victims
             .into_iter()
-            // lint:allow(s2-panic): victims were just drawn from self.ids(), so every removal hits a present tag
             .map(|id| self.remove(id).expect("chosen from present ids"))
             .collect())
     }
@@ -187,7 +190,10 @@ impl TagPopulation {
         let removed = self.remove_random(count, rng)?;
         let mut other = TagPopulation::new();
         for tag in removed {
-            // lint:allow(s2-panic): tags removed from one population keep their unique ids, and `other` starts empty
+            #[expect(
+                clippy::expect_used,
+                reason = "tags removed from one population keep their unique ids, and `other` starts empty"
+            )]
             other.insert(tag).expect("ids unique by construction");
         }
         Ok(other)
@@ -212,8 +218,11 @@ impl TagPopulation {
         }
         let victims: Vec<TagId> = self.ids().choose_multiple(rng, count).copied().collect();
         for id in &victims {
+            #[expect(
+                clippy::expect_used,
+                reason = "victims were just drawn from self.ids(), so every lookup hits a present tag"
+            )]
             self.get_mut(*id)
-                // lint:allow(s2-panic): victims were just drawn from self.ids(), so every lookup hits a present tag
                 .expect("chosen from present ids")
                 .set_detuned(true);
         }
@@ -287,7 +296,7 @@ mod tests {
     fn sequential_population_has_distinct_ids() {
         let pop = TagPopulation::with_sequential_ids(500);
         assert_eq!(pop.len(), 500);
-        let ids: std::collections::HashSet<_> = pop.ids().into_iter().collect();
+        let ids: std::collections::BTreeSet<_> = pop.ids().into_iter().collect();
         assert_eq!(ids.len(), 500);
     }
 

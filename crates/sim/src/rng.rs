@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn seeds_differ_across_indices() {
         let s = SeedSequence::new(7);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000 {
             assert!(seen.insert(s.seed_for(i)), "collision at index {i}");
         }

@@ -4,8 +4,13 @@
 //! layer above it) operates on in-memory byte buffers, which is what
 //! makes crash/corruption fault injection exact and deterministic.
 //! This module is the narrow waist where those buffers meet disk, and
-//! it is the *only* library module the `s4-io` lint rule permits to
-//! name `std::fs`.
+//! it is the *only* library module that may call `std::fs`: the root
+//! `clippy.toml` disallows it everywhere else.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the designated filesystem touchpoint of the library crates"
+)]
 
 use std::fs;
 use std::path::Path;

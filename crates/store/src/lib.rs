@@ -24,10 +24,11 @@
 //!   same bytes, so WALs themselves can be diffed and digested in CI.
 //!
 //! File I/O is quarantined in [`io`] — the rest of the crate works on
-//! byte slices, which is what keeps the fault-injection tests (and the
-//! `s4-io` lint rule confining filesystem access) honest.
+//! byte slices, which is what keeps the fault-injection tests honest;
+//! the root `clippy.toml` disallows `std::fs` in every other module.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

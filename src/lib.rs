@@ -50,6 +50,7 @@
 //! `fig4`–`fig7` binaries in `tagwatch-bench`.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![warn(missing_docs)]
 
 pub use tagwatch_analytics as analytics;
